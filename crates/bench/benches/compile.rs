@@ -8,7 +8,9 @@
 //! recorded per commit. The thread counts are pinned through the runtime
 //! override (serial = 1 thread, parallel = the machine's `PICACHU_THREADS` /
 //! hardware parallelism), and the shared compile cache is cleared inside
-//! every cold iteration so the mapper actually runs.
+//! every cold iteration so the mapper actually runs. Every row records the
+//! `threads` it ran at and the `cores` the machine offers, so a parallel
+//! timing taken with more threads than cores is visible in the artifact.
 
 use picachu::compile_cache;
 use picachu::dse::{search, SearchConfig};
@@ -35,6 +37,9 @@ fn main() {
     let h = Bench::from_args();
     let mut g = h.group("compile");
     g.sample_size(5);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let pool = runtime::num_threads() as u64;
+    g.meta("threads", 1).meta("cores", cores as u64);
 
     g.bench("kernel_library_cold_serial", || {
         runtime::set_thread_override(Some(1));
@@ -42,6 +47,7 @@ fn main() {
         compile_library();
         runtime::set_thread_override(None);
     });
+    g.meta("threads", pool);
     g.bench("kernel_library_cold_parallel", || {
         compile_cache::clear();
         compile_library();
@@ -52,12 +58,14 @@ fn main() {
         compile_library();
     });
 
+    g.meta("threads", 1);
     g.bench("dse_search_cold_serial", || {
         runtime::set_thread_override(Some(1));
         compile_cache::clear();
         black_box(search(&ModelConfig::gpt2(), &small_search()).evaluated.len());
         runtime::set_thread_override(None);
     });
+    g.meta("threads", pool);
     g.bench("dse_search_cold_parallel", || {
         compile_cache::clear();
         black_box(search(&ModelConfig::gpt2(), &small_search()).evaluated.len());

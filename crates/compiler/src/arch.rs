@@ -214,23 +214,19 @@ impl CgraSpec {
         (ar.abs_diff(br) + ac.abs_diff(bc)) as u32
     }
 
-    /// Mesh neighbours of a tile (4-connected).
-    pub fn neighbors(&self, idx: usize) -> Vec<usize> {
+    /// Mesh neighbours of a tile (4-connected), in up, down, left, right
+    /// order. The iterator owns its (at most four) tiles; nothing is
+    /// allocated.
+    pub fn neighbors(&self, idx: usize) -> impl Iterator<Item = usize> {
         let (r, c) = self.coords(idx);
-        let mut out = Vec::with_capacity(4);
-        if r > 0 {
-            out.push(idx - self.cols);
-        }
-        if r + 1 < self.rows {
-            out.push(idx + self.cols);
-        }
-        if c > 0 {
-            out.push(idx - 1);
-        }
-        if c + 1 < self.cols {
-            out.push(idx + 1);
-        }
-        out
+        [
+            (r > 0).then(|| idx - self.cols),
+            (r + 1 < self.rows).then(|| idx + self.cols),
+            (c > 0).then(|| idx - 1),
+            (c + 1 < self.cols).then(|| idx + 1),
+        ]
+        .into_iter()
+        .flatten()
     }
 
     /// Tiles able to execute `op`.
@@ -315,8 +311,8 @@ mod tests {
         assert_eq!(s.hops(0, 0), 0);
         assert_eq!(s.hops(0, 5), 2); // (0,0)->(1,1)
         assert_eq!(s.hops(0, 15), 6);
-        assert_eq!(s.neighbors(0).len(), 2);
-        assert_eq!(s.neighbors(5).len(), 4);
+        assert_eq!(s.neighbors(0).collect::<Vec<_>>(), [4, 1]);
+        assert_eq!(s.neighbors(5).collect::<Vec<_>>(), [1, 9, 4, 6]);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 
 use super::Placement;
 use crate::arch::CgraSpec;
-use std::collections::BTreeSet;
 
 /// Folding state for one routing pass: compute-slot occupancy from the
 /// placements (immutable across rip-up rounds) plus the per-round output-port
@@ -28,8 +27,9 @@ pub(crate) struct Folder {
     ii: u32,
     /// (tile, slot) hosts a compute operation — PE output port is busy.
     compute_busy: Vec<bool>,
-    /// (tile, slot) output ports claimed by folded hops this round.
-    ports: BTreeSet<(usize, u32)>,
+    /// (tile, slot) output ports claimed by folded hops this round, indexed
+    /// like `compute_busy`.
+    ports: Vec<bool>,
 }
 
 impl Folder {
@@ -38,12 +38,13 @@ impl Folder {
         for p in placements {
             compute_busy[p.tile * ii as usize + (p.time % ii) as usize] = true;
         }
-        Folder { ii, compute_busy, ports: BTreeSet::new() }
+        let ports = vec![false; compute_busy.len()];
+        Folder { ii, compute_busy, ports }
     }
 
     /// Clears the per-round port claims (rip-up re-routes everything).
     pub(crate) fn reset_ports(&mut self) {
-        self.ports.clear();
+        self.ports.fill(false);
     }
 
     /// Decides, hop by hop, which hops of one routed path fold. `tiles` is
@@ -67,7 +68,8 @@ impl Folder {
             let tile = tiles[j];
             let slot = (depart + j as u32) % self.ii;
             let idx = tile * self.ii as usize + slot as usize;
-            if !self.compute_busy[idx] && self.ports.insert((tile, slot)) {
+            if !self.compute_busy[idx] && !self.ports[idx] {
+                self.ports[idx] = true;
                 *flag = true;
             }
         }

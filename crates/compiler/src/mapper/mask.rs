@@ -19,6 +19,11 @@
 //!   [`CgraSpec::neighbors`] order, so detours are deterministic too.
 //!   Unreachable pairs answer `None` and the mapper treats the candidate
 //!   placement as infeasible.
+//!
+//! Paths are answered as a borrowed [`PathWalk`]: row-first stepping on a
+//! full mask, a slice of the flat BFS table on a degraded one. The mapper
+//! asks for a path on every routing probe of every placement candidate, so
+//! the walk allocates nothing.
 
 use crate::arch::CgraSpec;
 use std::collections::BTreeSet;
@@ -36,9 +41,12 @@ pub struct ResourceMask {
     /// All-pairs hop counts over the alive subgraph (`u32::MAX` =
     /// unreachable); empty for a full mask.
     hop_table: Vec<u32>,
-    /// All-pairs intermediate-tile paths (excluding both endpoints); empty
-    /// for a full mask.
-    path_table: Vec<Vec<usize>>,
+    /// All-pairs intermediate-tile paths (excluding both endpoints),
+    /// concatenated in `(src, dst)` row-major order; empty for a full mask.
+    path_table: Vec<usize>,
+    /// `path_start[src·n + dst]` is where that pair's path begins in
+    /// `path_table`; one trailing entry closes the last pair.
+    path_start: Vec<usize>,
 }
 
 impl ResourceMask {
@@ -52,6 +60,7 @@ impl ResourceMask {
             full: true,
             hop_table: Vec::new(),
             path_table: Vec::new(),
+            path_start: Vec::new(),
         }
     }
 
@@ -86,7 +95,8 @@ impl ResourceMask {
             dead_links: links,
             full: false,
             hop_table: vec![u32::MAX; n * n],
-            path_table: vec![Vec::new(); n * n],
+            path_table: Vec::new(),
+            path_start: Vec::with_capacity(n * n + 1),
         };
         mask.build_tables(spec);
         mask
@@ -96,14 +106,17 @@ impl ResourceMask {
     /// [`CgraSpec::neighbors`] order (deterministic detours).
     fn build_tables(&mut self, spec: &CgraSpec) {
         let n = spec.len();
+        let mut parent: Vec<Option<usize>> = vec![None; n];
+        let mut dist: Vec<u32> = vec![u32::MAX; n];
+        let mut queue = std::collections::VecDeque::new();
         for src in 0..n {
             if !self.alive[src] {
+                self.path_start.extend(std::iter::repeat_n(self.path_table.len(), n));
                 continue;
             }
-            let mut parent: Vec<Option<usize>> = vec![None; n];
-            let mut dist: Vec<u32> = vec![u32::MAX; n];
+            parent.fill(None);
+            dist.fill(u32::MAX);
             dist[src] = 0;
-            let mut queue = std::collections::VecDeque::new();
             queue.push_back(src);
             while let Some(u) = queue.pop_front() {
                 for v in spec.neighbors(u) {
@@ -119,23 +132,24 @@ impl ResourceMask {
                 }
             }
             for (dst, &d) in dist.iter().enumerate() {
+                let start = self.path_table.len();
+                self.path_start.push(start);
                 if d == u32::MAX {
                     continue;
                 }
                 self.hop_table[src * n + dst] = d;
                 // walk dst -> src by parents, collect intermediates
-                let mut inter = Vec::new();
                 let mut cur = dst;
                 while let Some(p) = parent[cur] {
                     if p != src {
-                        inter.push(p);
+                        self.path_table.push(p);
                     }
                     cur = p;
                 }
-                inter.reverse();
-                self.path_table[src * n + dst] = inter;
+                self.path_table[start..].reverse();
             }
         }
+        self.path_start.push(self.path_table.len());
     }
 
     /// `true` when nothing is masked.
@@ -185,19 +199,69 @@ impl ResourceMask {
     }
 
     /// The intermediate tiles (excluding both endpoints) an operand from `a`
-    /// to `b` traverses; `None` when unreachable. On the full mask this is
-    /// the legacy row-first L-shaped path.
-    pub fn path(&self, spec: &CgraSpec, a: usize, b: usize) -> Option<Vec<usize>> {
+    /// to `b` traverses, in travel order; `None` when unreachable. On the
+    /// full mask this is the legacy row-first L-shaped path.
+    pub fn path(&self, spec: &CgraSpec, a: usize, b: usize) -> Option<PathWalk<'_>> {
         if self.full {
-            return Some(row_first_path(spec, a, b));
+            let (r, c) = spec.coords(a);
+            let (to_r, to_c) = spec.coords(b);
+            let left = (spec.hops(a, b) as usize).saturating_sub(1);
+            return Some(PathWalk(Walk::RowFirst { r, c, to_r, to_c, cols: spec.cols, left }));
         }
-        let n = self.alive.len();
-        if self.hop_table[a * n + b] == u32::MAX {
+        let i = a * self.alive.len() + b;
+        if self.hop_table[i] == u32::MAX {
             return None;
         }
-        Some(self.path_table[a * n + b].clone())
+        let tiles = &self.path_table[self.path_start[i]..self.path_start[i + 1]];
+        Some(PathWalk(Walk::Table(tiles.iter())))
     }
 }
+
+/// The intermediate tiles of one operand route, walked without allocating
+/// (see [`ResourceMask::path`]).
+#[derive(Debug, Clone)]
+pub struct PathWalk<'a>(Walk<'a>);
+
+#[derive(Debug, Clone)]
+enum Walk<'a> {
+    /// Healthy fabric: step along the row to the destination column, then
+    /// along the column; `left` intermediate tiles remain to yield.
+    RowFirst { r: usize, c: usize, to_r: usize, to_c: usize, cols: usize, left: usize },
+    /// Degraded fabric: the precomputed BFS detour.
+    Table(std::slice::Iter<'a, usize>),
+}
+
+impl Iterator for PathWalk<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match &mut self.0 {
+            Walk::RowFirst { r, c, to_r, to_c, cols, left } => {
+                if *left == 0 {
+                    return None;
+                }
+                *left -= 1;
+                if *c != *to_c {
+                    *c = if *c < *to_c { *c + 1 } else { *c - 1 };
+                } else {
+                    *r = if *r < *to_r { *r + 1 } else { *r - 1 };
+                }
+                Some(*r * *cols + *c)
+            }
+            Walk::Table(tiles) => tiles.next().copied(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = match &self.0 {
+            Walk::RowFirst { left, .. } => *left,
+            Walk::Table(tiles) => tiles.len(),
+        };
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for PathWalk<'_> {}
 
 impl fmt::Display for ResourceMask {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -215,26 +279,6 @@ impl fmt::Display for ResourceMask {
     }
 }
 
-/// Row-first L-shaped path between two tiles, excluding both endpoints —
-/// the healthy-fabric routing shape the mapper has always used.
-pub fn row_first_path(spec: &CgraSpec, from: usize, to: usize) -> Vec<usize> {
-    let (fr, fc) = spec.coords(from);
-    let (tr, tc) = spec.coords(to);
-    let mut tiles = Vec::new();
-    let mut c = fc;
-    while c != tc {
-        c = if c < tc { c + 1 } else { c - 1 };
-        tiles.push(fr * spec.cols + c);
-    }
-    let mut r = fr;
-    while r != tr {
-        r = if r < tr { r + 1 } else { r - 1 };
-        tiles.push(r * spec.cols + tc);
-    }
-    tiles.pop(); // drop destination
-    tiles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,16 +287,122 @@ mod tests {
         CgraSpec::picachu(4, 4)
     }
 
+    fn path_vec(m: &ResourceMask, s: &CgraSpec, a: usize, b: usize) -> Option<Vec<usize>> {
+        m.path(s, a, b).map(Iterator::collect)
+    }
+
+    /// The row-first path as the mapper always built it: step along the
+    /// row, then the column, collecting every tile, then drop the
+    /// destination.
+    fn legacy_row_first(spec: &CgraSpec, from: usize, to: usize) -> Vec<usize> {
+        let (fr, fc) = spec.coords(from);
+        let (tr, tc) = spec.coords(to);
+        let mut tiles = Vec::new();
+        let mut c = fc;
+        while c != tc {
+            c = if c < tc { c + 1 } else { c - 1 };
+            tiles.push(fr * spec.cols + c);
+        }
+        let mut r = fr;
+        while r != tr {
+            r = if r < tr { r + 1 } else { r - 1 };
+            tiles.push(r * spec.cols + tc);
+        }
+        tiles.pop();
+        tiles
+    }
+
+    /// The per-pair BFS path table as the mask used to store it: one `Vec`
+    /// per `(src, dst)`, `None` when unreachable.
+    fn legacy_bfs_paths(spec: &CgraSpec, m: &ResourceMask) -> Vec<Option<Vec<usize>>> {
+        let n = spec.len();
+        let mut table = vec![None; n * n];
+        for src in (0..n).filter(|&t| m.tile_alive(t)) {
+            let mut parent: Vec<Option<usize>> = vec![None; n];
+            let mut dist = vec![u32::MAX; n];
+            dist[src] = 0;
+            let mut queue = std::collections::VecDeque::from([src]);
+            while let Some(u) = queue.pop_front() {
+                let mut nbs = Vec::new();
+                let (r, c) = spec.coords(u);
+                if r > 0 {
+                    nbs.push(u - spec.cols);
+                }
+                if r + 1 < spec.rows {
+                    nbs.push(u + spec.cols);
+                }
+                if c > 0 {
+                    nbs.push(u - 1);
+                }
+                if c + 1 < spec.cols {
+                    nbs.push(u + 1);
+                }
+                for v in nbs {
+                    if m.link_alive(u, v) && dist[v] == u32::MAX {
+                        dist[v] = dist[u] + 1;
+                        parent[v] = Some(u);
+                        queue.push_back(v);
+                    }
+                }
+            }
+            for dst in (0..n).filter(|&d| dist[d] != u32::MAX) {
+                let mut inter = Vec::new();
+                let mut cur = dst;
+                while let Some(p) = parent[cur] {
+                    if p != src {
+                        inter.push(p);
+                    }
+                    cur = p;
+                }
+                inter.reverse();
+                table[src * n + dst] = Some(inter);
+            }
+        }
+        table
+    }
+
     #[test]
     fn full_mask_matches_legacy_geometry() {
-        let s = spec();
-        let m = ResourceMask::full(&s);
-        assert!(m.is_full());
-        for a in 0..s.len() {
-            for b in 0..s.len() {
-                assert_eq!(m.hops(&s, a, b), Some(s.hops(a, b)));
-                assert_eq!(m.path(&s, a, b), Some(row_first_path(&s, a, b)));
+        for s in [spec(), CgraSpec::picachu(16, 16)] {
+            let m = ResourceMask::full(&s);
+            assert!(m.is_full());
+            for a in 0..s.len() {
+                for b in 0..s.len() {
+                    assert_eq!(m.hops(&s, a, b), Some(s.hops(a, b)));
+                    let walk = m.path(&s, a, b).expect("full fabric is connected");
+                    assert_eq!(walk.len(), legacy_row_first(&s, a, b).len(), "{a}->{b}");
+                    assert_eq!(walk.collect::<Vec<_>>(), legacy_row_first(&s, a, b), "{a}->{b}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn degraded_walk_matches_legacy_bfs_table() {
+        let cases = [
+            (CgraSpec::picachu(4, 4), vec![5, 6], vec![(9, 10), (0, 1)]),
+            (CgraSpec::picachu(4, 4), vec![8], vec![(0, 1)]),
+            (CgraSpec::picachu(4, 4), vec![1, 4], vec![]),
+            (CgraSpec::universal(2, 3), vec![1], vec![(3, 4)]),
+            (CgraSpec::universal(1, 3), vec![1], vec![]),
+            (CgraSpec::universal(1, 3), vec![], vec![(0, 1)]),
+        ];
+        for (s, dead, links) in cases {
+            let m = ResourceMask::degraded(&s, dead.iter().copied(), links.iter().copied());
+            assert!(!m.is_full());
+            let legacy = legacy_bfs_paths(&s, &m);
+            let mut unreachable = 0;
+            for a in 0..s.len() {
+                for b in 0..s.len() {
+                    let want = &legacy[a * s.len() + b];
+                    unreachable += usize::from(want.is_none());
+                    assert_eq!(&path_vec(&m, &s, a, b), want, "{a}->{b} dead {dead:?} {links:?}");
+                    if let Some(walk) = m.path(&s, a, b) {
+                        assert_eq!(walk.len(), want.as_ref().map_or(0, Vec::len));
+                    }
+                }
+            }
+            assert!(unreachable > 0, "every case has dead endpoints or cut pairs");
         }
     }
 
@@ -291,7 +441,7 @@ mod tests {
         let s2 = CgraSpec::universal(2, 3);
         let m2 = ResourceMask::degraded(&s2, [1], []);
         assert_eq!(m2.hops(&s2, 0, 2), Some(4));
-        let path = m2.path(&s2, 0, 2).expect("reachable");
+        let path = path_vec(&m2, &s2, 0, 2).expect("reachable");
         assert_eq!(path.len(), 3, "4 hops = 3 intermediates: {path:?}");
         assert!(!path.contains(&1), "path must avoid the dead tile");
     }
@@ -306,7 +456,7 @@ mod tests {
         let s2 = CgraSpec::universal(2, 2);
         let m2 = ResourceMask::degraded(&s2, [], [(0, 1)]);
         assert_eq!(m2.hops(&s2, 0, 1), Some(3), "0->2->3->1");
-        assert_eq!(m2.path(&s2, 0, 1), Some(vec![2, 3]));
+        assert_eq!(path_vec(&m2, &s2, 0, 1), Some(vec![2, 3]));
     }
 
     #[test]
@@ -319,7 +469,7 @@ mod tests {
                     assert_eq!(m.hops(&s, a, b), None);
                     continue;
                 }
-                let Some(path) = m.path(&s, a, b) else { continue };
+                let Some(path) = path_vec(&m, &s, a, b) else { continue };
                 let hops = m.hops(&s, a, b).expect("path implies hops");
                 if a == b {
                     assert_eq!(hops, 0);

@@ -369,6 +369,7 @@ pub struct SearchGrid {
     seed: u64,
     mii: u32,
     mode: PnrMode,
+    ctx: place::PlacerCtx,
     deadline: Option<Duration>,
     start: Instant,
     timed_out: AtomicBool,
@@ -376,9 +377,10 @@ pub struct SearchGrid {
 }
 
 impl SearchGrid {
-    /// Validates the request and computes `MII`. The deadline clock starts
-    /// here. Uses [`PnrMode::Auto`]: greedy at paper scale, annealed above
-    /// [`ANNEAL_TILE_THRESHOLD`].
+    /// Validates the request, computes `MII` and the placer context every
+    /// cell shares (priorities, consumer lists, capable tiles). The
+    /// deadline clock starts here. Uses [`PnrMode::Auto`]: greedy at paper
+    /// scale, annealed above [`ANNEAL_TILE_THRESHOLD`].
     ///
     /// # Errors
     /// [`MapError::EmptyDfg`] or [`MapError::NoCapableTile`].
@@ -412,6 +414,7 @@ impl SearchGrid {
             seed,
             mii,
             mode,
+            ctx: place::PlacerCtx::new(dfg, spec, mask),
             deadline,
             start: Instant::now(),
             timed_out: AtomicBool::new(false),
@@ -456,9 +459,9 @@ impl SearchGrid {
             PnrMode::Auto => spec.len() > ANNEAL_TILE_THRESHOLD,
         };
         let placements = if annealed {
-            place::try_place_annealed(dfg, spec, mask, ii, &mut rng)
+            place::try_place_annealed(dfg, spec, mask, ii, &mut rng, &self.ctx)
         } else {
-            place::try_place(dfg, spec, mask, ii, &mut rng)
+            place::try_place(dfg, spec, mask, ii, &mut rng, &self.ctx)
         };
         placements.map(|p| (ii, p))
     }
@@ -639,6 +642,7 @@ pub fn repair_mapping(
     // freeing the chain ends that actually pin the schedule (see
     // `critical_path_nodes`). Phase 1 draws distinct attempt streams via
     // the round offset, so it is a genuinely new portfolio, not a replay.
+    let ctx = place::PlacerCtx::new(dfg, spec, mask);
     for phase in 0..2usize {
         let mut pins = pinned.clone();
         if phase == 1 {
@@ -662,7 +666,7 @@ pub fn repair_mapping(
                 let s = splitmix64(attempt_seed(seed, ii, idx) ^ 0x52455041_49525F31);
                 let mut rng = TestRng::seed_from_u64(s);
                 if let Some(placements) =
-                    place::try_place_pinned(dfg, spec, mask, ii, &mut rng, &pins)
+                    place::try_place_pinned(dfg, spec, mask, ii, &mut rng, &ctx, &pins)
                 {
                     let schedule_len = schedule_len_of(dfg, spec, mask, &placements)?;
                     return Some(Mapping { ii, placements, schedule_len });

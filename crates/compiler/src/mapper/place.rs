@@ -20,8 +20,13 @@
 //!   the per-link channel model.
 //!
 //! Both engines draw all randomness from the cell's own [`TestRng`] stream,
-//! so the portfolio search stays bit-identical at any thread count.
+//! so the portfolio search stays bit-identical at any thread count. What
+//! does not depend on the stream — priorities, consumer lists, capable
+//! tiles — lives in a [`PlacerCtx`] built once per search grid and
+//! borrowed by every cell.
 
+use super::mask::PathWalk;
+use super::route::{link_slot, link_slots, CHANNEL_CAP};
 use super::{Placement, ResourceMask, ROUTE_CAP};
 use crate::arch::CgraSpec;
 use picachu_ir::dfg::{Dfg, NodeId};
@@ -60,19 +65,15 @@ impl<'a> State<'a> {
         let Some(path) = self.mask.path(self.spec, from, to) else {
             return false;
         };
-        for (k, &tile) in path.iter().enumerate() {
-            if self.routing[self.idx(tile, depart + k as u32 + 1)] >= ROUTE_CAP {
-                return false;
-            }
-        }
-        true
+        path.enumerate()
+            .all(|(k, tile)| self.routing[self.idx(tile, depart + k as u32 + 1)] < ROUTE_CAP)
     }
 
     fn route_commit(&mut self, from: usize, to: usize, depart: u32) {
         let Some(path) = self.mask.path(self.spec, from, to) else {
             return; // unreachable: route_free succeeded before every commit
         };
-        for (k, tile) in path.into_iter().enumerate() {
+        for (k, tile) in path.enumerate() {
             let i = self.idx(tile, depart + k as u32 + 1);
             self.routing[i] += 1;
         }
@@ -87,7 +88,7 @@ impl<'a> State<'a> {
 /// may sit behind a long chain, e.g. the exp pipeline feeding a softmax sum).
 /// Scheduling the φ at time 0 would force `II ≥ chain length` through the
 /// recurrence constraint; deferring it keeps RecMII achievable.
-pub(crate) fn priorities(dfg: &Dfg) -> Vec<u32> {
+fn priorities(dfg: &Dfg) -> Vec<u32> {
     let levels = dfg.asap_levels();
     let mut prio = levels.clone();
     for node in dfg.nodes() {
@@ -113,16 +114,151 @@ pub(crate) fn is_phi_class(op: Opcode) -> bool {
     matches!(op, Opcode::Phi | Opcode::FusedPhiAdd | Opcode::FusedPhiAddAdd)
 }
 
+/// The per-DFG inputs of every placement attempt that do not depend on the
+/// attempt's RNG stream. [`super::SearchGrid::prepare`] builds one per grid
+/// and every cell borrows it; [`super::repair_mapping`] builds its own.
+pub(crate) struct PlacerCtx {
+    /// Scheduling priority per node ([`priorities`]).
+    levels: Vec<u32>,
+    /// Same-iteration consumer ids per producer, in node/input order.
+    consumers: Adjacency<u32>,
+    /// Carried `(consumer, distance)` pairs per producer.
+    carried: Adjacency<(u32, u32)>,
+    /// Alive tiles able to run each distinct opcode of the DFG, in index
+    /// order.
+    capable: Adjacency<u32>,
+    /// Per node: its opcode's set in `capable`.
+    capable_of: Vec<u32>,
+}
+
+/// Per-producer edge lists in one flat buffer: producer `v` owns
+/// `items[start[v]..start[v + 1]]`. Every grid of a compile batch keeps its
+/// context until the batch resolves, so the context stays a handful of
+/// compact allocations.
+struct Adjacency<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Adjacency<T> {
+    /// Groups `(producer, item)` pairs by producer, keeping their order
+    /// within a producer.
+    fn new(n: usize, mut pairs: Vec<(usize, T)>) -> Adjacency<T> {
+        pairs.sort_by_key(|&(p, _)| p); // stable
+        let mut start = vec![0u32; n + 1];
+        for &(p, _) in &pairs {
+            start[p + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        Adjacency { start, items: pairs.into_iter().map(|(_, t)| t).collect() }
+    }
+
+    fn of(&self, v: usize) -> &[T] {
+        &self.items[self.start[v] as usize..self.start[v + 1] as usize]
+    }
+}
+
+impl PlacerCtx {
+    pub(crate) fn new(dfg: &Dfg, spec: &CgraSpec, mask: &ResourceMask) -> PlacerCtx {
+        let mut consumers = Vec::new();
+        let mut carried = Vec::new();
+        let mut ops: Vec<Opcode> = Vec::new();
+        let mut capable = Vec::new();
+        let mut capable_of = Vec::with_capacity(dfg.len());
+        for node in dfg.nodes() {
+            let set = match ops.iter().position(|&op| op == node.op) {
+                Some(i) => i,
+                None => {
+                    let set = ops.len();
+                    ops.push(node.op);
+                    capable.extend(
+                        (0..spec.len())
+                            .filter(|&t| mask.tile_alive(t) && spec.tile_supports(t, node.op))
+                            .map(|t| (set, t as u32)),
+                    );
+                    set
+                }
+            };
+            capable_of.push(set as u32);
+            for e in &node.inputs {
+                let v = node.id.0 as u32;
+                if e.distance == 0 {
+                    consumers.push((e.from.0, v));
+                } else {
+                    carried.push((e.from.0, (v, e.distance)));
+                }
+            }
+        }
+        PlacerCtx {
+            levels: priorities(dfg),
+            consumers: Adjacency::new(dfg.len(), consumers),
+            carried: Adjacency::new(dfg.len(), carried),
+            capable: Adjacency::new(ops.len(), capable),
+            capable_of,
+        }
+    }
+
+    /// Alive tiles able to run node `v`, in index order.
+    fn capable(&self, v: usize) -> &[u32] {
+        self.capable.of(self.capable_of[v] as usize)
+    }
+
+    /// Same-iteration consumers of `v`, in node/input order.
+    fn consumers_of(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        self.consumers.of(v).iter().map(|&c| c as usize)
+    }
+
+    /// Carried `(consumer, distance)` edges out of `v`.
+    fn carried_out(&self, v: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.carried.of(v).iter().map(|&(c, d)| (c as usize, d))
+    }
+
+    /// The placement order of one attempt: deferred level ascending; within
+    /// a level, φ nodes go last so the *other* inputs of their consumers
+    /// are already placed when the φ's dynamic start time is computed;
+    /// random tiebreak otherwise. Draws exactly one jitter per node.
+    fn order(&self, dfg: &Dfg, rng: &mut TestRng) -> Vec<usize> {
+        let n = dfg.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        let jitter: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
+        order.sort_by_key(|&i| (self.levels[i], is_phi_class(dfg.nodes()[i].op), jitter[i]));
+        order
+    }
+
+    /// Dynamic start of a source node `v` (φ, const, invariant loads):
+    /// aligned with the actual times of its consumers' other inputs, so the
+    /// φ of a reduction sits right where its update will fire, not at
+    /// time 0.
+    fn source_floor(&self, dfg: &Dfg, v: usize, placed: &[Option<Placement>]) -> u32 {
+        let lat = dfg.nodes()[v].op.latency();
+        let mut floor = self.levels[v];
+        for c in self.consumers_of(v) {
+            for e in &dfg.nodes()[c].inputs {
+                if e.distance == 0 && e.from.0 != v {
+                    if let Some(p) = placed[e.from.0] {
+                        let rdy = p.time + dfg.nodes()[e.from.0].op.latency();
+                        floor = floor.max(rdy.saturating_sub(lat));
+                    }
+                }
+            }
+        }
+        floor
+    }
+}
+
 pub(crate) fn try_place(
     dfg: &Dfg,
     spec: &CgraSpec,
     mask: &ResourceMask,
     ii: u32,
     rng: &mut TestRng,
+    ctx: &PlacerCtx,
 ) -> Option<Vec<Placement>> {
     let st = State::new(spec, mask, ii);
     let placed: Vec<Option<Placement>> = vec![None; dfg.len()];
-    place_rest(dfg, spec, mask, ii, rng, st, placed, false)
+    place_rest(dfg, spec, mask, ii, rng, ctx, st, placed, false)
 }
 
 /// Validates a set of pinned placements against `mask` and builds the
@@ -143,6 +279,7 @@ pub(crate) fn pin_state<'a>(
     pinned: &[Option<Placement>],
 ) -> Result<State<'a>, usize> {
     let mut st = State::new(spec, mask, ii);
+    let mut routes: Vec<(usize, usize, u32)> = Vec::new();
     for node in dfg.nodes() {
         let Some(pv) = pinned[node.id.0] else { continue };
         if !mask.tile_alive(pv.tile) || !spec.tile_supports(pv.tile, node.op) {
@@ -159,7 +296,7 @@ pub(crate) fn pin_state<'a>(
         // check every operand route against the pre-commit state, then
         // commit them together — the same per-consumer batching the search
         // uses, so any search-accepted placement re-validates here
-        let mut routes: Vec<(usize, usize, u32)> = Vec::new();
+        routes.clear();
         for e in &node.inputs {
             let Some(pu) = pinned[e.from.0] else { continue };
             let lat = dfg.nodes()[e.from.0].op.latency();
@@ -179,7 +316,7 @@ pub(crate) fn pin_state<'a>(
                 return Err(node.id.0);
             }
         }
-        for (from, to, depart) in routes {
+        for &(from, to, depart) in &routes {
             st.route_commit(from, to, depart);
         }
     }
@@ -205,39 +342,16 @@ pub(crate) fn place_rest(
     mask: &ResourceMask,
     ii: u32,
     rng: &mut TestRng,
+    ctx: &PlacerCtx,
     mut st: State<'_>,
     mut placed: Vec<Option<Placement>>,
     repair: bool,
 ) -> Option<Vec<Placement>> {
-    let n = dfg.len();
-    let levels = priorities(dfg);
-    // priority: deferred level asc; within a level, φ nodes go last so the
-    // *other* inputs of their consumers are already placed when the φ's
-    // dynamic start time is computed; random tiebreak otherwise.
-    let mut order: Vec<usize> = (0..n).collect();
-    let jitter: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
-    order.sort_by_key(|&i| (levels[i], is_phi_class(dfg.nodes()[i].op), jitter[i]));
-
-    // same-iteration consumers: producer -> consumer ids
-    let mut consumers_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for node in dfg.nodes() {
-        for e in &node.inputs {
-            if e.distance == 0 {
-                consumers_of[e.from.0].push(node.id.0);
-            }
-        }
-    }
-
-    // carried consumers: producer -> [(consumer, distance)]
-    let mut carried_out: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-    for node in dfg.nodes() {
-        for e in &node.inputs {
-            if e.distance > 0 {
-                carried_out[e.from.0].push((node.id.0, e.distance));
-            }
-        }
-    }
-
+    let order = ctx.order(dfg, rng);
+    // per-node scratch, reused across the nodes of this attempt
+    let mut preds: Vec<(usize, u32)> = Vec::new();
+    let mut pred_hops: Vec<u32> = Vec::new();
+    let mut tiles: Vec<usize> = Vec::with_capacity(spec.len());
     for &v in &order {
         if placed[v].is_some() {
             continue; // pinned by the repair path
@@ -247,35 +361,15 @@ pub(crate) fn place_rest(
         // for hops is applied per candidate below). The priority order is
         // topological over distance-0 edges, so predecessors are placed; if
         // that invariant ever breaks, the attempt fails instead of panicking.
-        let mut preds: Vec<(usize, u32)> = Vec::new();
+        preds.clear();
         for e in node.inputs.iter().filter(|e| e.distance == 0) {
             let p = placed[e.from.0]?;
             preds.push((p.tile, p.time + dfg.nodes()[e.from.0].op.latency()));
         }
+        let dynamic_floor = if preds.is_empty() { ctx.source_floor(dfg, v, &placed) } else { 0 };
 
-        // Dynamic start for source nodes (φ, const, invariant loads): align
-        // with the actual times of their consumers' other inputs, so the φ of
-        // a reduction sits right where its update will fire, not at time 0.
-        let dynamic_floor = if preds.is_empty() {
-            let mut floor = levels[v];
-            for &c in &consumers_of[v] {
-                for e in &dfg.nodes()[c].inputs {
-                    if e.distance == 0 && e.from.0 != v {
-                        if let Some(p) = placed[e.from.0] {
-                            let rdy = p.time + dfg.nodes()[e.from.0].op.latency();
-                            floor = floor.max(rdy.saturating_sub(node.op.latency()));
-                        }
-                    }
-                }
-            }
-            floor
-        } else {
-            0
-        };
-
-        let mut tiles: Vec<usize> = (0..spec.len())
-            .filter(|&t| mask.tile_alive(t) && spec.tile_supports(t, node.op))
-            .collect();
+        tiles.clear();
+        tiles.extend(ctx.capable(v).iter().map(|&t| t as usize));
         rng.shuffle(&mut tiles);
 
         let mut placed_here = false;
@@ -283,7 +377,7 @@ pub(crate) fn place_rest(
             // hop distance from every placed predecessor; a predecessor
             // disconnected from this tile on the alive fabric rules the
             // tile out entirely.
-            let mut pred_hops: Vec<u32> = Vec::with_capacity(preds.len());
+            pred_hops.clear();
             for &(pt, _) in &preds {
                 match mask.hops(spec, pt, tile) {
                     Some(h) => pred_hops.push(h),
@@ -311,7 +405,7 @@ pub(crate) fn place_rest(
                     continue;
                 }
                 // carried-consumer deadlines (consumers already placed)
-                let deadlines_ok = carried_out[v].iter().all(|&(c, d)| {
+                let deadlines_ok = ctx.carried_out(v).all(|(c, d)| {
                     match placed[c] {
                         Some(pc) => match mask.hops(spec, tile, pc.tile) {
                             Some(h) => t + node.op.latency() + h <= pc.time + d * ii,
@@ -327,7 +421,7 @@ pub(crate) fn place_rest(
                     // pinned distance-0 consumers: the operand must leave
                     // this candidate slot in time to arrive exactly at the
                     // consumer's (fixed) issue time, over a free route
-                    let pinned_consumers_ok = consumers_of[v].iter().all(|&c| {
+                    let pinned_consumers_ok = ctx.consumers_of(v).all(|c| {
                         let Some(pc) = placed[c] else { return true };
                         let Some(h) = mask.hops(spec, tile, pc.tile) else { return false };
                         match pc.time.checked_sub(h) {
@@ -368,7 +462,7 @@ pub(crate) fn place_rest(
                     st.route_commit(pt, tile, depart);
                 }
                 if repair {
-                    for &c in &consumers_of[v] {
+                    for c in ctx.consumers_of(v) {
                         if let Some(pc) = placed[c] {
                             if let Some(h) = mask.hops(spec, tile, pc.tile) {
                                 st.route_commit(tile, pc.tile, pc.time - h);
@@ -385,7 +479,7 @@ pub(crate) fn place_rest(
             if std::env::var_os("PICACHU_MAP_DEBUG").is_some() {
                 eprintln!(
                     "  [map-debug] II={ii}: no slot for {} ({}), prio={}",
-                    node.id, node.op, levels[v]
+                    node.id, node.op, ctx.levels[v]
                 );
             }
             return None;
@@ -437,10 +531,11 @@ pub(crate) fn try_place_pinned(
     mask: &ResourceMask,
     ii: u32,
     rng: &mut TestRng,
+    ctx: &PlacerCtx,
     pinned: &[Option<Placement>],
 ) -> Option<Vec<Placement>> {
     let st = pin_state(dfg, spec, mask, ii, pinned).ok()?;
-    place_rest(dfg, spec, mask, ii, rng, st, pinned.to_vec(), true)
+    place_rest(dfg, spec, mask, ii, rng, ctx, st, pinned.to_vec(), true)
 }
 
 // ---------------------------------------------------------------------------
@@ -469,9 +564,10 @@ pub(crate) fn try_place_annealed(
     mask: &ResourceMask,
     ii: u32,
     rng: &mut TestRng,
+    ctx: &PlacerCtx,
 ) -> Option<Vec<Placement>> {
-    let tiles = anneal_tiles(dfg, spec, mask, ii, rng)?;
-    let placements = schedule_on_tiles(dfg, spec, mask, ii, rng, &tiles)?;
+    let tiles = anneal_tiles(dfg, spec, mask, ii, rng, ctx)?;
+    let placements = schedule_on_tiles(dfg, spec, mask, ii, rng, ctx, &tiles)?;
     let routes = super::route::route_mapping(dfg, spec, mask, ii, &placements)?;
     routes.congestion_free().then_some(placements)
 }
@@ -516,18 +612,10 @@ fn anneal_tiles(
     mask: &ResourceMask,
     ii: u32,
     rng: &mut TestRng,
+    ctx: &PlacerCtx,
 ) -> Option<Vec<usize>> {
     let n = dfg.len();
-    let capable: Vec<Vec<usize>> = dfg
-        .nodes()
-        .iter()
-        .map(|node| {
-            (0..spec.len())
-                .filter(|&t| mask.tile_alive(t) && spec.tile_supports(t, node.op))
-                .collect()
-        })
-        .collect();
-    if capable.iter().any(Vec::is_empty) {
+    if (0..n).any(|v| ctx.capable(v).is_empty()) {
         return None;
     }
     let cap_per_tile = ii as usize;
@@ -541,15 +629,12 @@ fn anneal_tiles(
     }
 
     // initial state: greedy wirelength in the historical priority order
-    let levels = priorities(dfg);
-    let mut order: Vec<usize> = (0..n).collect();
-    let jitter: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
-    order.sort_by_key(|&i| (levels[i], is_phi_class(dfg.nodes()[i].op), jitter[i]));
+    let order = ctx.order(dfg, rng);
     let mut tiles: Vec<usize> = vec![usize::MAX; n];
     let mut count = vec![0usize; spec.len()];
     for &v in &order {
         let mut best: Option<(u64, usize)> = None;
-        for &t in &capable[v] {
+        for t in ctx.capable(v).iter().map(|&t| t as usize) {
             if count[t] >= cap_per_tile {
                 continue;
             }
@@ -596,7 +681,8 @@ fn anneal_tiles(
         for _ in 0..moves_per_temp {
             moves += 1;
             let v = rng.gen_range(0..n as u64) as usize;
-            let cand = capable[v][rng.gen_range(0..capable[v].len() as u64) as usize];
+            let capable = ctx.capable(v);
+            let cand = capable[rng.gen_range(0..capable.len() as u64) as usize] as usize;
             let old = tiles[v];
             if cand == old || count[cand] >= cap_per_tile {
                 continue;
@@ -683,80 +769,49 @@ fn contribution(
 /// concentrates adjacent-tile traffic into unfixable (link, slot)
 /// collisions. The check is conservative (no folding credit) and the
 /// [`super::route`] pass stays the final gate.
+#[allow(clippy::too_many_arguments)]
 fn schedule_on_tiles(
     dfg: &Dfg,
     spec: &CgraSpec,
     mask: &ResourceMask,
     ii: u32,
     rng: &mut TestRng,
+    ctx: &PlacerCtx,
     tiles: &[usize],
 ) -> Option<Vec<Placement>> {
-    let n = dfg.len();
-    let levels = priorities(dfg);
-    let mut order: Vec<usize> = (0..n).collect();
-    let jitter: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
-    order.sort_by_key(|&i| (levels[i], is_phi_class(dfg.nodes()[i].op), jitter[i]));
-
-    let mut consumers_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut carried_out: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-    for node in dfg.nodes() {
-        for e in &node.inputs {
-            if e.distance == 0 {
-                consumers_of[e.from.0].push(node.id.0);
-            } else {
-                carried_out[e.from.0].push((node.id.0, e.distance));
-            }
-        }
-    }
-
+    let order = ctx.order(dfg, rng);
     let mut compute = vec![false; spec.len() * ii as usize];
     let slot_of = |tile: usize, t: u32| tile * ii as usize + (t % ii) as usize;
-    // canonical-path channel occupancy, keyed (from_tile, to_tile, slot)
-    let mut channels: std::collections::BTreeMap<(usize, usize, u32), u32> =
-        std::collections::BTreeMap::new();
-    let mut placed: Vec<Option<Placement>> = vec![None; n];
+    // canonical-path channel occupancy per (directed link, slot)
+    let mut channels = vec![0u32; link_slots(spec, ii)];
+    let mut placed: Vec<Option<Placement>> = vec![None; dfg.len()];
+    // (producer tile, hop count, canonical path) per d0 input that crosses
+    // the mesh; reused across nodes
+    let mut in_paths: Vec<(usize, u32, PathWalk<'_>)> = Vec::new();
     for &v in &order {
         let node = &dfg.nodes()[v];
         let tile = tiles[v];
-        let mut preds_rdy: Vec<u32> = Vec::new();
-        // (producer tile sequence incl. endpoints, hop count) per d0 input
-        let mut in_paths: Vec<(Vec<usize>, u32)> = Vec::new();
+        in_paths.clear();
+        let mut latest_rdy: Option<u32> = None;
         for e in node.inputs.iter().filter(|e| e.distance == 0) {
             let p = placed[e.from.0]?;
             let h = mask.hops(spec, p.tile, tile)?;
-            preds_rdy.push(p.time + dfg.nodes()[e.from.0].op.latency() + h);
+            let rdy = p.time + dfg.nodes()[e.from.0].op.latency() + h;
+            latest_rdy = Some(latest_rdy.map_or(rdy, |l| l.max(rdy)));
             if h > 0 {
-                let mut seq = vec![p.tile];
-                seq.extend(mask.path(spec, p.tile, tile)?);
-                seq.push(tile);
-                in_paths.push((seq, h));
+                in_paths.push((p.tile, h, mask.path(spec, p.tile, tile)?));
             }
         }
-        let earliest = if preds_rdy.is_empty() {
-            // source nodes align with their consumers' other inputs, as in
-            // the greedy placer's dynamic floor
-            let mut floor = levels[v];
-            for &c in &consumers_of[v] {
-                for e in &dfg.nodes()[c].inputs {
-                    if e.distance == 0 && e.from.0 != v {
-                        if let Some(p) = placed[e.from.0] {
-                            let rdy = p.time + dfg.nodes()[e.from.0].op.latency();
-                            floor = floor.max(rdy.saturating_sub(node.op.latency()));
-                        }
-                    }
-                }
-            }
-            floor
-        } else {
-            preds_rdy.iter().copied().max().unwrap_or(0)
-        };
+        // source nodes align with their consumers' other inputs, as in the
+        // greedy placer's dynamic floor
+        let earliest = latest_rdy.unwrap_or_else(|| ctx.source_floor(dfg, v, &placed));
         let mut done = false;
         for dt in 0..ii {
             let t = earliest + dt;
             if compute[slot_of(tile, t)] {
                 continue;
             }
-            let deadlines_ok = carried_out[v].iter().all(|&(c, d)| match placed[c] {
+            let deadlines_ok = ctx.carried_out(v).all(|(c, d)| match placed[c] {
                 Some(pc) => match mask.hops(spec, tile, pc.tile) {
                     Some(h) => t + node.op.latency() + h <= pc.time + d * ii,
                     None => false,
@@ -770,20 +825,20 @@ fn schedule_on_tiles(
             // t, so hop j of an h-hop path occupies its link at slot
             // (t − h + j) mod ii — full if the router could not legally
             // absorb another operand there
-            let channels_ok = in_paths.iter().all(|(seq, h)| {
-                seq.windows(2).enumerate().all(|(j, w)| {
-                    let slot = (t - h + j as u32) % ii;
-                    channels.get(&(w[0], w[1], slot)).copied().unwrap_or(0)
-                        < super::route::CHANNEL_CAP
-                })
+            let channel = |from: usize, to: usize, h: u32, j: usize| {
+                link_slot(spec, ii, from, to, (t - h + j as u32) % ii)
+            };
+            let channels_ok = in_paths.iter().all(|(from, h, path)| {
+                route_links(*from, path.clone(), tile)
+                    .enumerate()
+                    .all(|(j, (a, b))| channels[channel(a, b, *h, j)] < CHANNEL_CAP)
             });
             if !channels_ok {
                 continue;
             }
-            for (seq, h) in &in_paths {
-                for (j, w) in seq.windows(2).enumerate() {
-                    let slot = (t - h + j as u32) % ii;
-                    *channels.entry((w[0], w[1], slot)).or_insert(0) += 1;
+            for (from, h, path) in &in_paths {
+                for (j, (a, b)) in route_links(*from, path.clone(), tile).enumerate() {
+                    channels[channel(a, b, *h, j)] += 1;
                 }
             }
             compute[slot_of(tile, t)] = true;
@@ -797,4 +852,14 @@ fn schedule_on_tiles(
     }
     verify_recurrences(dfg, spec, mask, ii, &placed)?;
     placed.into_iter().collect()
+}
+
+/// The directed links of one route as consecutive `(from, to)` tile pairs:
+/// `from`, the path's intermediate tiles, then `to`.
+fn route_links(
+    from: usize,
+    path: PathWalk<'_>,
+    to: usize,
+) -> impl Iterator<Item = (usize, usize)> + '_ {
+    path.chain(std::iter::once(to)).scan(from, |prev, t| Some((std::mem::replace(prev, t), t)))
 }

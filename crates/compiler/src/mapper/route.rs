@@ -21,9 +21,10 @@
 //!
 //! Determinism: requests are routed in node-id/input order, the search
 //! iterates tiles in index order and neighbours in [`CgraSpec::neighbors`]
-//! order with strict-improvement relaxation, and all bookkeeping lives in
-//! `BTreeMap`s — the result is a pure function of
-//! `(dfg, spec, mask, ii, placements)`.
+//! order with strict-improvement relaxation, and the per-(link, slot)
+//! occupancy and history live in dense tables whose only reductions (the
+//! overuse sum, the history update) are order-free — the result is a pure
+//! function of `(dfg, spec, mask, ii, placements)`.
 //!
 //! The router never invents illegality: for any mapping that is legal under
 //! the mask's shortest-path hop counts, every edge admits at least its
@@ -36,7 +37,6 @@ use super::fold::Folder;
 use super::{Placement, ResourceMask};
 use crate::arch::CgraSpec;
 use picachu_ir::dfg::{Dfg, NodeId};
-use std::collections::BTreeMap;
 
 /// Channels per directed mesh link per II slot: how many distinct operands
 /// one link can carry in the same `time mod II` cycle.
@@ -47,10 +47,35 @@ const RIPUP_ROUNDS: usize = 8;
 /// already-saturated channel.
 const PRESENT_PENALTY: u64 = 8;
 /// History cost added per unit of overuse after each congested round.
-const HISTORY_STEP: u64 = 2;
+const HISTORY_STEP: u32 = 2;
 /// Extra hops beyond the masked shortest path a detour may take (also
 /// bounded by the edge's timing slack).
 const DETOUR_SLACK: u32 = 8;
+
+/// Directed links per tile in a dense (link, slot) table: up, down, left,
+/// right — the [`CgraSpec::neighbors`] order.
+const DIRECTIONS: usize = 4;
+
+/// Entries of a dense per-(directed link, slot) table on `spec` at `ii`.
+pub(crate) fn link_slots(spec: &CgraSpec, ii: u32) -> usize {
+    spec.len() * DIRECTIONS * ii as usize
+}
+
+/// Index of the directed link `from → to` (adjacent tiles) at `slot` in a
+/// dense table of [`link_slots`] entries: `(from·4 + direction)·II + slot`.
+pub(crate) fn link_slot(spec: &CgraSpec, ii: u32, from: usize, to: usize, slot: u32) -> usize {
+    debug_assert_eq!(spec.hops(from, to), 1, "link {from}->{to} joins no neighbours");
+    let direction = if to + spec.cols == from {
+        0
+    } else if to == from + spec.cols {
+        1
+    } else if to + 1 == from {
+        2
+    } else {
+        3
+    };
+    (from * DIRECTIONS + direction) * ii as usize + slot as usize
+}
 
 /// One routed distance-0 operand.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,23 +187,26 @@ pub fn route_mapping(
     }
 
     let mut folder = Folder::new(spec, ii, placements);
-    // accumulated (link, slot) history penalties across rounds
-    let mut history: BTreeMap<(usize, usize, u32), u64> = BTreeMap::new();
+    // per-(link, slot) occupancy of the current round, and the history
+    // penalties accumulated across rounds
+    let mut occ = vec![0u32; link_slots(spec, ii)];
+    let mut history = vec![0u32; occ.len()];
+    let mut scratch = PathScratch::default();
     for round in 0..RIPUP_ROUNDS {
         folder.reset_ports();
-        let mut occ: BTreeMap<(usize, usize, u32), u32> = BTreeMap::new();
+        occ.fill(0);
         let mut edges: Vec<RoutedEdge> = Vec::with_capacity(reqs.len());
         for r in &reqs {
             let tiles = if r.src == r.dst {
                 vec![r.src]
             } else {
-                best_path(spec, mask, ii, r, &occ, &history)?
+                best_path(spec, mask, ii, r, &occ, &history, &mut scratch)?
             };
             let depart = r.arrive - (tiles.len() as u32 - 1);
             let folded = folder.fold_path(fanout[r.producer], depart, &tiles);
             for (j, w) in tiles.windows(2).enumerate() {
                 if !folded[j] {
-                    *occ.entry((w[0], w[1], (depart + j as u32) % ii)).or_insert(0) += 1;
+                    occ[link_slot(spec, ii, w[0], w[1], (depart + j as u32) % ii)] += 1;
                 }
             }
             edges.push(RoutedEdge {
@@ -189,8 +217,7 @@ pub fn route_mapping(
                 folded,
             });
         }
-        let overused: u64 =
-            occ.values().map(|&c| u64::from(c.saturating_sub(CHANNEL_CAP))).sum();
+        let overused: u64 = occ.iter().map(|&c| u64::from(c.saturating_sub(CHANNEL_CAP))).sum();
         if overused == 0 || round == RIPUP_ROUNDS - 1 {
             let total_hops: u64 = edges.iter().map(|e| u64::from(e.hops())).sum();
             let folded_hops: u64 = edges
@@ -208,13 +235,21 @@ pub fn route_mapping(
         }
         // negotiate: overused channels get permanently more expensive, then
         // everything rips up and re-routes
-        for (&k, &c) in &occ {
+        for (h, &c) in history.iter_mut().zip(&occ) {
             if c > CHANNEL_CAP {
-                *history.entry(k).or_insert(0) += HISTORY_STEP * u64::from(c - CHANNEL_CAP);
+                *h += HISTORY_STEP * (c - CHANNEL_CAP);
             }
         }
     }
     None // unreachable: the last round always returns
+}
+
+/// The DP tables of [`best_path`], flat (`step·tiles + tile`) and reused
+/// across every edge and round of one [`route_mapping`] call.
+#[derive(Default)]
+struct PathScratch {
+    dp: Vec<u64>,
+    par: Vec<usize>,
 }
 
 /// Deterministic min-cost path for one edge over the time-expanded alive
@@ -229,20 +264,25 @@ fn best_path(
     mask: &ResourceMask,
     ii: u32,
     r: &Request,
-    occ: &BTreeMap<(usize, usize, u32), u32>,
-    history: &BTreeMap<(usize, usize, u32), u64>,
+    occ: &[u32],
+    history: &[u32],
+    scratch: &mut PathScratch,
 ) -> Option<Vec<usize>> {
     const INF: u64 = u64::MAX;
     let budget = r.arrive - r.rdy; // ≥ r.hops, checked by the caller
     let max_len = budget.min(r.hops + DETOUR_SLACK) as usize;
     let n = spec.len();
-    let mut dp = vec![vec![INF; n]; max_len + 1];
-    let mut par = vec![vec![usize::MAX; n]; max_len + 1];
-    dp[0][r.dst] = 0;
+    let PathScratch { dp, par } = scratch;
+    dp.clear();
+    dp.resize((max_len + 1) * n, INF);
+    par.clear();
+    par.resize((max_len + 1) * n, usize::MAX);
+    dp[r.dst] = 0;
     let mut best: Option<(u64, usize)> = None;
     for k in 0..=max_len {
-        if dp[k][r.src] != INF && best.is_none_or(|(bc, _)| dp[k][r.src] < bc) {
-            best = Some((dp[k][r.src], k));
+        let at_src = dp[k * n + r.src];
+        if at_src != INF && best.is_none_or(|(bc, _)| at_src < bc) {
+            best = Some((at_src, k));
         }
         if k == max_len {
             break;
@@ -254,8 +294,9 @@ fn best_path(
             break;
         }
         let slot = t_a % ii;
-        for b in 0..n {
-            let c = dp[k][b];
+        let (done, next) = dp.split_at_mut((k + 1) * n);
+        let next_par = &mut par[(k + 1) * n..(k + 2) * n];
+        for (b, &c) in done[k * n..].iter().enumerate() {
             if c == INF {
                 continue;
             }
@@ -263,26 +304,27 @@ fn best_path(
                 if !mask.link_alive(a, b) {
                     continue;
                 }
-                let o = occ.get(&(a, b, slot)).copied().unwrap_or(0);
+                let link = link_slot(spec, ii, a, b, slot);
+                let o = occ[link];
                 let present = if o >= CHANNEL_CAP {
                     PRESENT_PENALTY * u64::from(o - CHANNEL_CAP + 1)
                 } else {
                     0
                 };
-                let hist = history.get(&(a, b, slot)).copied().unwrap_or(0);
-                let nc = c + 1 + present + hist;
-                if nc < dp[k + 1][a] {
-                    dp[k + 1][a] = nc;
-                    par[k + 1][a] = b;
+                let nc = c + 1 + present + u64::from(history[link]);
+                if nc < next[a] {
+                    next[a] = nc;
+                    next_par[a] = b;
                 }
             }
         }
     }
     let (_, k) = best?;
-    let mut tiles = vec![r.src];
+    let mut tiles = Vec::with_capacity(k + 1);
+    tiles.push(r.src);
     let (mut cur, mut step) = (r.src, k);
     while step > 0 {
-        cur = par[step][cur];
+        cur = par[step * n + cur];
         step -= 1;
         tiles.push(cur);
     }

@@ -285,7 +285,15 @@ impl Shard {
                     for t in tenants {
                         ops.extend(t.model.nonlinear_ops());
                     }
+                    let ops: Vec<NonlinearOp> = ops.into_iter().collect();
                     let mut engine = PicachuEngine::new(cfg.clone());
+                    // The ladder measures inflation against (and repairs
+                    // from) the healthy mapping. Warming it into this
+                    // engine's own cache makes the factor a function of the
+                    // config and the plan alone, not of what the
+                    // process-wide cache holds at this moment. A healthy
+                    // compile failure leaves the ladder to report it.
+                    let _ = engine.prewarm(&ops);
                     let mut factor = 1.0f64;
                     for op in ops {
                         match engine.compile_op_degraded(op, plan) {

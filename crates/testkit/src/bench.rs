@@ -67,6 +67,7 @@ impl Bench {
             harness: self,
             name: name.to_string(),
             sample_size: 31,
+            meta: Vec::new(),
         }
     }
 }
@@ -76,6 +77,8 @@ pub struct Group<'a> {
     harness: &'a Bench,
     name: String,
     sample_size: usize,
+    /// Extra integer fields appended to every row, in insertion order.
+    meta: Vec<(String, u64)>,
 }
 
 /// One benchmark's summary statistics.
@@ -99,6 +102,17 @@ impl<'a> Group<'a> {
         self
     }
 
+    /// Sets an integer field (e.g. `threads`, `cores`) that every
+    /// subsequent row of this group carries; setting it again overwrites the
+    /// value.
+    pub fn meta(&mut self, key: &str, value: u64) -> &mut Self {
+        match self.meta.iter_mut().find(|(k, _)| k == key) {
+            Some(slot) => slot.1 = value,
+            None => self.meta.push((key.to_string(), value)),
+        }
+        self
+    }
+
     /// Runs one benchmark and prints its JSON line. Returns the stats (also
     /// used by the self-tests); skipped benches return `None`.
     pub fn bench<F: FnMut()>(&mut self, name: &str, mut f: F) -> Option<Stats> {
@@ -117,8 +131,13 @@ impl<'a> Group<'a> {
         } else {
             run_measured(&mut f, self.sample_size)
         };
+        let meta: String = self
+            .meta
+            .iter()
+            .map(|(k, v)| format!(",\"{}\":{v}", json_escape(k)))
+            .collect();
         println!(
-            "{{\"group\":\"{}\",\"bench\":\"{}\",\"median_ns\":{:.1},\"p95_ns\":{:.1},\"samples\":{},\"iters_per_sample\":{}}}",
+            "{{\"group\":\"{}\",\"bench\":\"{}\",\"median_ns\":{:.1},\"p95_ns\":{:.1},\"samples\":{},\"iters_per_sample\":{}{meta}}}",
             json_escape(&self.name),
             json_escape(name),
             stats.median_ns,
@@ -195,6 +214,14 @@ mod tests {
         assert_eq!(count, 1);
         assert_eq!(stats.samples, 1);
         assert_eq!(stats.iters_per_sample, 1);
+    }
+
+    #[test]
+    fn meta_fields_overwrite_in_place() {
+        let h = Bench::new(true, None);
+        let mut g = h.group("test");
+        g.meta("threads", 1).meta("cores", 2).meta("threads", 4);
+        assert_eq!(g.meta, [("threads".to_string(), 4), ("cores".to_string(), 2)]);
     }
 
     #[test]

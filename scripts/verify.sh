@@ -74,9 +74,13 @@ rm -rf "$SOAK_SCRATCH"
 echo "== bench smoke (one call per benchmark, offline) =="
 cargo bench -p picachu-bench --offline -- --smoke
 
-echo "== parallel-compile microbench (serial vs parallel @4 threads, median/p95) =="
+echo "== parallel-compile microbench (serial vs parallel @min(4, cores) threads, median/p95) =="
+# More threads than cores would time oversubscription, not the pool; every
+# row records the threads it ran at and the machine's cores.
+CORES=$(nproc)
+BENCH_THREADS=$(( CORES < 4 ? CORES : 4 ))
 mkdir -p results
-PICACHU_THREADS=4 cargo bench -p picachu-bench --bench compile --offline \
+PICACHU_THREADS=$BENCH_THREADS cargo bench -p picachu-bench --bench compile --offline \
   | tee results/BENCH_compile.json
 
 echo "== compile speedup gate (cold parallel vs cold serial) =="
