@@ -75,8 +75,9 @@ fn main() {
     });
 
     // a repeat process's cold start when `PICACHU_MAPSTORE` points at a
-    // populated store: every clear() re-arms the store load, so the closure
-    // measures deserialize-from-disk instead of the mapper
+    // populated store: after clear() every lookup reads and validates its
+    // key's bitstream file, so the closure measures the validated import
+    // (Route pass replay included) instead of the mapper
     let store = std::env::temp_dir()
         .join(format!("picachu-bench-mapstore-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store);

@@ -10,6 +10,7 @@
 use picachu_backend::Accelerator;
 use picachu_llm::trace::TraceOp;
 use picachu_llm::ModelConfig;
+pub use picachu_testkit::json::{json_obj, Json};
 use std::io::Write as _;
 use std::path::PathBuf;
 
@@ -152,63 +153,6 @@ pub fn row<'a>(rows: &'a [Row], backend: &str, workload: &str) -> &'a Row {
         .unwrap_or_else(|| panic!("no row for backend {backend:?} workload {workload:?}"))
 }
 
-/// A JSON scalar (the workspace builds offline with no serialization
-/// dependency, so JSON emission is hand-rolled here once, not per binary).
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// A string value.
-    S(String),
-    /// A float (NaN/∞ serialize as `null`).
-    F(f64),
-    /// An integer.
-    I(i64),
-    /// A boolean.
-    B(bool),
-}
-
-/// Escapes a string for a JSON literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serializes one flat JSON object from field pairs.
-pub fn json_obj(fields: &[(&str, Json)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(&json_escape(k));
-        out.push_str("\":");
-        match v {
-            Json::S(s) => {
-                out.push('"');
-                out.push_str(&json_escape(s));
-                out.push('"');
-            }
-            Json::F(f) if f.is_finite() => out.push_str(&format!("{f}")),
-            Json::F(_) => out.push_str("null"),
-            Json::I(i) => out.push_str(&format!("{i}")),
-            Json::B(b) => out.push_str(if *b { "true" } else { "false" }),
-        }
-    }
-    out.push('}');
-    out
-}
-
 /// Where experiment results land: `results/<id>.json` under the working
 /// directory (JSON-lines, one row object per line).
 pub fn results_path(id: &str) -> PathBuf {
@@ -252,6 +196,7 @@ pub fn emit_rows(id: &str, rows: &[Row]) {
 mod tests {
     use super::*;
     use picachu_baselines::{CpuModel, GpuModel};
+    use picachu_testkit::json::json_escape;
 
     #[test]
     fn geomean_basics() {

@@ -47,7 +47,7 @@ mod report;
 mod route;
 
 pub use mask::ResourceMask;
-pub use report::{pnr_report, PnrReport};
+pub use report::{pnr_report, pnr_report_from_routes, PnrReport};
 pub use route::{route_mapping, RoutedEdge, RouteSet, CHANNEL_CAP};
 
 use crate::arch::CgraSpec;
@@ -250,6 +250,15 @@ pub fn min_ii_with(dfg: &Dfg, spec: &CgraSpec, mask: &ResourceMask) -> Result<u3
     Ok(res_mii_with(dfg, spec, mask)?.max(dfg.rec_mii()))
 }
 
+/// The largest II any mapping of `dfg` can have: every search starts at
+/// `MII = max(ResMII, RecMII)`, where `ResMII ≤ n` and [`Dfg::rec_mii`]
+/// never exceeds `4n + 4` for an `n`-node DFG, and gives up `II_SLACK` past
+/// it (incremental repair only ever retains such an II). Readers of
+/// persisted mappings use it to reject an II no search produced.
+pub fn ii_ceiling(dfg: &Dfg) -> u32 {
+    (dfg.len() as u32).saturating_mul(4).saturating_add(4 + II_SLACK)
+}
+
 /// The RNG seed of one `(II, attempt)` cell of the search grid. Each attempt
 /// owns an independent derived stream, so any cell can be evaluated on any
 /// worker thread (or serially, in grid order) with identical results.
@@ -263,7 +272,10 @@ fn attempt_seed(seed: u64, ii: u32, attempt: usize) -> u64 {
 /// each consumer, so the mesh routing of the final edges counts toward the
 /// prologue (distance-0 operands arrive exactly at their consumer's issue
 /// time, but loop-carried operands can land after the last issue).
-fn schedule_len_of(
+///
+/// `placements` must be indexed by node id and cover every node of `dfg`.
+/// Returns `None` when an edge's endpoints are unreachable under `mask`.
+pub fn schedule_len_of(
     dfg: &Dfg,
     spec: &CgraSpec,
     mask: &ResourceMask,

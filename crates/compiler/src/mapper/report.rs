@@ -10,8 +10,10 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 /// Post-P&R quality summary for one mapping. Pure data derived from the
-/// mapping — it never feeds back into [`Mapping`] equality, so caches,
-/// goldens, and the on-disk mapstore are unaffected by report evolution.
+/// mapping — it never feeds back into [`Mapping`] equality, so caches and
+/// goldens are unaffected by report evolution. The on-disk mapping store
+/// does record it (the bitstream's `pnr` rows): an entry written before a
+/// report change is rejected on load and compiled again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PnrReport {
     /// The initiation interval the pipeline achieved.
@@ -58,6 +60,17 @@ pub fn pnr_report(
     mapping: &Mapping,
 ) -> Option<PnrReport> {
     let routes = route::route_mapping(dfg, spec, mask, mapping.ii, &mapping.placements)?;
+    Some(pnr_report_from_routes(spec, mask, mapping, &routes))
+}
+
+/// [`pnr_report`] for a mapping whose Route+Fold result `routes` the caller
+/// already holds.
+pub fn pnr_report_from_routes(
+    spec: &CgraSpec,
+    mask: &ResourceMask,
+    mapping: &Mapping,
+    routes: &route::RouteSet,
+) -> PnrReport {
     let used_tiles: BTreeSet<usize> = mapping.placements.iter().map(|p| p.tile).collect();
     let alive = mask.alive_count().max(1);
     let mut live_links: u64 = 0;
@@ -70,7 +83,7 @@ pub fn pnr_report(
     }
     let denom =
         (live_links * u64::from(mapping.ii) * u64::from(route::CHANNEL_CAP)).max(1) as f64;
-    Some(PnrReport {
+    PnrReport {
         achieved_ii: mapping.ii,
         critical_path: mapping.schedule_len,
         area_used: used_tiles.len() as f64 / alive as f64,
@@ -78,5 +91,5 @@ pub fn pnr_report(
         routed_hops: routes.total_hops,
         folded_hops: routes.folded_hops,
         congestion_free: routes.congestion_free(),
-    })
+    }
 }

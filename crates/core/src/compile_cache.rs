@@ -18,7 +18,7 @@ use crate::engine::CompiledLoop;
 use picachu_nonlinear::NonlinearOp;
 use picachu_num::DataFormat;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Everything the compiled loops of one nonlinear op depend on. The Shared
@@ -86,57 +86,44 @@ fn write_cache() -> std::sync::RwLockWriteGuard<'static, HashMap<CompileKey, Arc
 
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
-/// Whether the on-disk mapping store has been folded into the in-memory
-/// cache this "generation" (reset by [`clear`], so benches measuring cold
-/// compiles stay cold as long as the store is disabled).
-static STORE_LOADED: AtomicBool = AtomicBool::new(false);
 
 /// Looks up a compiled kernel, counting a hit or miss.
 ///
-/// On the first miss with the [`mapstore`](crate::mapstore) enabled, the
-/// on-disk store is bulk-loaded into the cache and the lookup retried — a
-/// repeat process (or a serving-fleet node sharing a store directory) warms
-/// from disk instead of re-running the mapper. Store entries count as hits.
+/// On a memory miss with the [`mapstore`](crate::mapstore) enabled, the
+/// key's own store file is read and validated; an accepted entry is
+/// published to the cache and counts as a hit, so a repeat process (or a
+/// serving-fleet node sharing a store directory) warms from disk instead of
+/// re-running the mapper. A missing or rejected file counts as a miss.
 pub fn lookup(key: &CompileKey) -> Option<Arc<Vec<CompiledLoop>>> {
-    if let Some(hit) = read_cache().get(key).cloned() {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        return Some(hit);
+    let hit = read_cache().get(key).cloned();
+    let hit = hit.or_else(|| crate::mapstore::load(key).map(|loops| insert(key, loops).0));
+    let counter = if hit.is_some() { &HITS } else { &MISSES };
+    counter.fetch_add(1, Ordering::Relaxed);
+    hit
+}
+
+/// Inserts unless the key is present; returns the canonical entry and
+/// whether it was freshly inserted.
+fn insert(key: &CompileKey, loops: Vec<CompiledLoop>) -> (Arc<Vec<CompiledLoop>>, bool) {
+    let mut map = write_cache();
+    if let Some(existing) = map.get(key) {
+        return (existing.clone(), false);
     }
-    if crate::mapstore::is_enabled() && !STORE_LOADED.swap(true, Ordering::SeqCst) {
-        let entries = crate::mapstore::load_all();
-        let mut map = write_cache();
-        for (k, loops) in entries {
-            map.entry(k).or_insert_with(|| Arc::new(loops));
-        }
-        drop(map);
-        if let Some(hit) = read_cache().get(key).cloned() {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            return Some(hit);
-        }
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    None
+    let arc = Arc::new(loops);
+    map.insert(key.clone(), arc.clone());
+    (arc, true)
 }
 
 /// Publishes a compiled kernel. Returns the canonical entry: if another
 /// thread published the same key first, its (bit-identical, by determinism)
 /// value wins and the duplicate work is dropped. A genuinely fresh entry is
-/// also appended to the on-disk [`mapstore`](crate::mapstore) when one is
-/// configured (entries loaded *from* the store re-publish as occupied, so
-/// they are never echoed back to disk).
+/// also written to the on-disk [`mapstore`](crate::mapstore) when one is
+/// configured (entries loaded *from* the store bypass this, so they are
+/// never echoed back to disk).
 pub fn publish(key: CompileKey, loops: Vec<CompiledLoop>) -> Arc<Vec<CompiledLoop>> {
-    let mut map = write_cache();
-    let mut fresh = false;
-    let arc = map
-        .entry(key.clone())
-        .or_insert_with(|| {
-            fresh = true;
-            Arc::new(loops)
-        })
-        .clone();
-    drop(map);
-    if fresh && crate::mapstore::is_enabled() {
-        crate::mapstore::append(&key, &arc);
+    let (arc, fresh) = insert(&key, loops);
+    if fresh {
+        crate::mapstore::save(&key, &arc);
     }
     arc
 }
@@ -147,14 +134,13 @@ pub fn len() -> usize {
 }
 
 /// Drops every entry and zeroes the counters (benches use this to measure
-/// cold compiles; engines re-populate lazily). Also re-arms the mapstore
-/// load, so the next miss re-reads the on-disk store when one is enabled —
-/// cold benches therefore run with the store disabled (the default).
+/// cold compiles; engines re-populate lazily). With a mapping store
+/// enabled, later misses read it again, so cold benches run with the store
+/// disabled (the default).
 pub fn clear() {
     write_cache().clear();
     HITS.store(0, Ordering::Relaxed);
     MISSES.store(0, Ordering::Relaxed);
-    STORE_LOADED.store(false, Ordering::SeqCst);
 }
 
 /// `(hits, misses)` since the last [`clear`].
@@ -192,37 +178,10 @@ mod tests {
         assert_eq!(loops.len(), a.compile_op(NonlinearOp::Silu).len());
     }
 
-    /// A synthetic key no real engine configuration produces (2×3 fabric),
-    /// so concurrently-running engine tests can never collide with the
-    /// doctored store entries below.
-    fn synthetic_key(seed: u64) -> CompileKey {
-        CompileKey {
-            op: NonlinearOp::Relu,
-            cgra_rows: 2,
-            cgra_cols: 3,
-            format: picachu_num::DataFormat::Fp32,
-            taylor_terms: 6,
-            unroll_candidates: vec![1],
-            seed,
-            dead_tiles: Vec::new(),
-            dead_links: Vec::new(),
-            universal: false,
-            incremental: false,
-        }
-    }
-
-    fn synthetic_loops(ii: u32) -> Vec<CompiledLoop> {
-        vec![CompiledLoop {
-            label: "synthetic".to_string(),
-            kind: picachu_nonlinear::LoopKind::ElementWise,
-            uf: 1,
-            vf: 1,
-            mapping: picachu_compiler::mapper::Mapping {
-                ii,
-                placements: Vec::new(),
-                schedule_len: 7,
-            },
-        }]
+    /// A default-geometry engine under a seed no other test uses, so
+    /// concurrently-running engine tests never touch its ReLU entry.
+    fn store_test_engine(seed: u64) -> PicachuEngine {
+        PicachuEngine::new(EngineConfig { seed, ..EngineConfig::default() })
     }
 
     fn temp_store(tag: &str) -> std::path::PathBuf {
@@ -238,13 +197,18 @@ mod tests {
         clear();
         let dir = temp_store("lookup");
         crate::mapstore::set_mapstore_dir(Some(dir.clone()));
-        // a doctored entry (ii=42 with no placements) can only come back
-        // from disk — the mapper would never produce it
-        let key = synthetic_key(0xFEED_0001);
-        crate::mapstore::append(&key, &synthetic_loops(42));
-        clear(); // re-arm the store load
-        let got = lookup(&key).expect("store-backed hit");
-        assert_eq!(got[0].mapping.ii, 42, "entry must come from the on-disk store");
+        let mut engine = store_test_engine(0xFEED_0001);
+        let key = engine.compile_key(NonlinearOp::Relu);
+        let cold = engine.compile_op(NonlinearOp::Relu).to_vec();
+        clear();
+        let warm = lookup(&key).expect("store-backed hit");
+        assert_eq!(*warm, cold, "the store must serve the published entry");
+        // an entry the store rejects is a miss, never served
+        let path = crate::mapstore::entry_path(&dir, &key);
+        let text = std::fs::read_to_string(&path).expect("store file");
+        std::fs::write(&path, text.replacen("place,0,", "place,99,", 1)).expect("tamper");
+        clear();
+        assert!(lookup(&key).is_none(), "tampered entry served");
         crate::mapstore::set_mapstore_dir(None);
         clear();
         let _ = std::fs::remove_dir_all(&dir);
@@ -256,18 +220,16 @@ mod tests {
         clear();
         let dir = temp_store("publish");
         crate::mapstore::set_mapstore_dir(Some(dir.clone()));
-        let key = synthetic_key(0xFEED_0002);
-        publish(key.clone(), synthetic_loops(9));
-        // republishing the occupied key must not echo a second line
-        publish(key.clone(), synthetic_loops(9));
-        let entries = crate::mapstore::load_all();
-        let mine: Vec<_> = entries.iter().filter(|(k, _)| *k == key).collect();
-        assert_eq!(mine.len(), 1, "exactly one store entry for the key");
-        assert_eq!(mine[0].1[0].mapping.ii, 9);
-        let raw = std::fs::read_to_string(dir.join("mappings.jsonl")).expect("store file");
-        let lines_with_mine =
-            raw.lines().filter(|l| l.contains(&format!("\"seed\":{}", key.seed))).count();
-        assert_eq!(lines_with_mine, 1, "publish must append the fresh entry exactly once");
+        let mut engine = store_test_engine(0xFEED_0002);
+        let key = engine.compile_key(NonlinearOp::Relu);
+        let loops = engine.compile_op(NonlinearOp::Relu).to_vec();
+        let path = crate::mapstore::entry_path(&dir, &key);
+        let text = std::fs::read_to_string(&path).expect("fresh publish writes the store");
+        assert_eq!(Ok(text), crate::mapstore::bitstream::export_bitstream(&key, &loops));
+        // republishing the occupied key must not write the store again
+        std::fs::remove_file(&path).expect("remove entry");
+        publish(key.clone(), loops);
+        assert!(!path.exists(), "an occupied key was written twice");
         crate::mapstore::set_mapstore_dir(None);
         clear();
         let _ = std::fs::remove_dir_all(&dir);

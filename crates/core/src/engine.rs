@@ -239,6 +239,13 @@ impl PicachuEngine {
         CompileService::loop_seed(&self.config, loop_idx)
     }
 
+    /// The compile-cache key of this engine's healthy compilation of `op`:
+    /// the key [`export_bitstream`](crate::mapstore::bitstream::export_bitstream)
+    /// and the mapping store file name take.
+    pub fn compile_key(&self, op: NonlinearOp) -> crate::CompileKey {
+        self.compile.compile_key(&self.config, op)
+    }
+
     /// Post-P&R quality reports for every compiled loop of `op`, labelled:
     /// the Route+Fold passes replayed over the cached mappings on the
     /// healthy fabric (see [`picachu_compiler::mapper::pnr_report`]). Pure

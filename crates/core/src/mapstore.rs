@@ -1,11 +1,11 @@
-//! Versioned on-disk mapping store: cross-process persistence for the
+//! On-disk mapping store: cross-process persistence for the
 //! [`compile_cache`](crate::compile_cache).
 //!
 //! Modulo-scheduling is a pure function of [`CompileKey`], so a mapping
 //! computed once is valid for every process that shares the key — a repeat
 //! bench run, a restarted server, or a whole serving fleet pointed at one
-//! shared directory. The store is a single JSON-lines file
-//! (`mappings.jsonl`) inside a directory chosen by, in precedence order:
+//! shared directory. The store is a directory chosen by, in precedence
+//! order:
 //!
 //! 1. [`set_mapstore_dir`] (programmatic; tests use a temp dir),
 //! 2. the `PICACHU_MAPSTORE` environment variable (e.g.
@@ -13,50 +13,25 @@
 //! 3. nothing — the store is **disabled by default**, so cold-compile
 //!    benches and tests measure real mapper work unless they opt in.
 //!
-//! The file format is hand-rolled (the tree is hermetic — no serde):
-//!
-//! ```text
-//! {"picachu_mapstore":1}
-//! {"key":{"op":"softmax","rows":4,...},"loops":[{"label":"softmax(0)",...}]}
-//! ```
-//!
-//! The first line is the format version; a reader that sees an unknown
-//! version ignores the file rather than guessing. Every following line is
-//! one `(CompileKey, Vec<CompiledLoop>)` entry. Writers append single
-//! `O_APPEND` lines, so concurrent processes interleave whole entries;
-//! duplicate keys (two processes compiling the same kernel cold) are
-//! bit-identical by determinism and deduplicated on load. Unparseable lines
-//! are skipped with a warning, never a panic — with one exception: a
-//! malformed *final* record in a file that does not end in a newline is the
-//! signature of a writer killed mid-`O_APPEND`, an expected crash artifact,
-//! and is skipped *silently* (and does not veto compaction, which heals it
-//! away). `append` also self-heals such a tail by terminating it with a
-//! newline before writing, so a torn fragment never merges with the next
-//! entry.
-//!
-//! The sibling [`bitstream`] module is the interchange face of the store: a
-//! versioned CSV export of placement **and** routes (the Route+Fold pass
-//! replay) that downstream tooling can consume and a fresh process can
-//! install back into the compile cache without invoking the mapper.
+//! Each entry is one file, `<fnv1a64(key row):016x>.bitstream`, holding the
+//! entry's [`bitstream`] export: the interchange format is the persisted
+//! format. A writer renders the file to a per-process temp file and renames
+//! it into place, so readers see a whole file or none, and concurrent
+//! writers of one key (bit-identical by determinism) simply replace each
+//! other. A reader loads only the requested key's file and serves it only
+//! if its key row matches and [`bitstream::import_bitstream`] accepts it. A
+//! missing, colliding or rejected file is a miss: the caller compiles cold
+//! and its publish overwrites the bad file. Nothing is synced to disk: the
+//! store is a cache, and an entry a crash damages is rejected on load and
+//! compiled again.
 
 pub mod bitstream;
 
 use crate::compile_cache::CompileKey;
 use crate::engine::CompiledLoop;
-use picachu_compiler::mapper::{Mapping, Placement};
-use picachu_ir::dfg::NodeId;
-use picachu_nonlinear::{LoopKind, NonlinearOp};
-use picachu_num::DataFormat;
-use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Store format version this build reads and writes.
-const VERSION: u64 = 1;
-/// Entry file inside the store directory.
-const FILE: &str = "mappings.jsonl";
 
 /// `None` = not overridden (fall through to the environment);
 /// `Some(None)` = explicitly disabled; `Some(Some(dir))` = use `dir`.
@@ -71,771 +46,147 @@ pub fn set_mapstore_dir(dir: Option<PathBuf>) {
 }
 
 /// The effective store directory, or `None` when the store is disabled.
-pub fn dir() -> Option<PathBuf> {
+fn dir() -> Option<PathBuf> {
     if let Some(o) = OVERRIDE.lock().unwrap_or_else(|p| p.into_inner()).clone() {
         return o;
     }
     std::env::var_os("PICACHU_MAPSTORE").map(PathBuf::from)
 }
 
-/// Whether a store directory is configured.
-pub fn is_enabled() -> bool {
-    dir().is_some()
+/// 64-bit FNV-1a: a file name that stays the same across builds and
+/// platforms, unlike `DefaultHasher`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
-/// Compact the store file when duplicates exceed this percentage of the
-/// decoded entries. Duplicate lines are normal operation — O_APPEND writers
-/// race, and first-wins dedup on load makes them harmless — but a
-/// long-lived shared store (a serving fleet pointed at one directory)
-/// otherwise grows without bound and every process pays the parse cost.
-const COMPACT_DUP_PERCENT: usize = 25;
-
-/// Reads every well-formed entry from the store, first occurrence winning.
-/// A missing file or directory is an empty store; I/O and parse problems
-/// degrade to warnings (the cache then simply compiles cold).
-///
-/// When the duplicate ratio exceeds [`COMPACT_DUP_PERCENT`] *and* every
-/// line parsed cleanly, the file is compacted in place (version header +
-/// the deduplicated entries in first-wins order, written to a temp file and
-/// atomically renamed over the store). Unparseable lines veto compaction —
-/// a line this build cannot read is not a line it may destroy — with one
-/// carve-out: a malformed final record in a file with no trailing newline
-/// is EOF truncation from a writer killed mid-`O_APPEND`, provably debris
-/// rather than an unreadable entry, so it neither warns nor vetoes (and
-/// compaction drops it). Compaction is best-effort: a concurrent O_APPEND
-/// between the read and the rename can lose that entry, which only costs
-/// its writer a re-compile.
-pub fn load_all() -> Vec<(CompileKey, Vec<CompiledLoop>)> {
-    let Some(d) = dir() else { return Vec::new() };
-    load_from(&d.join(FILE))
+/// The file holding `key`'s entry in the store directory `dir`.
+pub fn entry_path(dir: &Path, key: &CompileKey) -> PathBuf {
+    let row = bitstream::key_row(key);
+    dir.join(format!("{:016x}.bitstream", fnv1a64(row.as_bytes())))
 }
 
-/// [`load_all`] against an explicit store file (the testable core).
-fn load_from(path: &std::path::Path) -> Vec<(CompileKey, Vec<CompiledLoop>)> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(_) => return Vec::new(),
-    };
-    // a file not ending in '\n' ends in a torn record: its final line is
-    // allowed to be garbage without counting as malformed
-    let newline_terminated = bytes.last() == Some(&b'\n');
-    let text = String::from_utf8_lossy(&bytes);
-    let lines: Vec<&str> = text.split('\n').collect();
-    let last_line = lines.len().saturating_sub(1);
-    let mut seen: HashMap<CompileKey, ()> = HashMap::new();
-    let mut out = Vec::new();
-    let mut versioned = false;
-    let mut skipped = 0usize;
-    let mut duplicates = 0usize;
-    for (i, line) in lines.iter().enumerate() {
-        let benign_if_torn = !newline_terminated && i == last_line;
-        let malformed = |skipped: &mut usize| {
-            if !benign_if_torn {
-                *skipped += 1;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Some(v) = parse(line) else {
-            malformed(&mut skipped);
-            continue;
-        };
-        if let Some(ver) = v.get("picachu_mapstore").and_then(Json::as_u64) {
-            if ver != VERSION {
-                eprintln!(
-                    "picachu-mapstore: {} has version {ver}, this build reads {VERSION}; ignoring it",
-                    path.display()
-                );
-                return Vec::new();
-            }
-            versioned = true;
-            continue;
-        }
-        if !versioned {
-            // entries before any version header: refuse to guess
-            malformed(&mut skipped);
-            continue;
-        }
-        match decode_entry(&v) {
-            Some((key, loops)) => {
-                if seen.insert(key.clone(), ()).is_none() {
-                    out.push((key, loops));
-                } else {
-                    duplicates += 1;
-                }
-            }
-            None => malformed(&mut skipped),
-        }
-    }
-    if skipped > 0 {
-        eprintln!(
-            "picachu-mapstore: skipped {skipped} malformed line(s) in {}",
-            path.display()
-        );
-    }
-    let total = out.len() + duplicates;
-    if skipped == 0 && duplicates > 0 && duplicates * 100 >= total * COMPACT_DUP_PERCENT {
-        compact(path, &out);
-    }
-    out
+/// `key`'s entry from the configured store, validated; `None` when the
+/// store is disabled or holds no acceptable entry for the key.
+pub(crate) fn load(key: &CompileKey) -> Option<Vec<CompiledLoop>> {
+    load_from(&dir()?, key)
 }
 
-/// Rewrites the store as `header + entries` (first-wins order) via a temp
-/// file and an atomic rename. Failures are warnings, never panics — the
-/// oversized file keeps working.
-fn compact(path: &std::path::Path, entries: &[(CompileKey, Vec<CompiledLoop>)]) {
-    let mut buf = String::new();
-    let _ = writeln!(buf, "{{\"picachu_mapstore\":{VERSION}}}");
-    for (key, loops) in entries {
-        encode_entry(&mut buf, key, loops);
-        buf.push('\n');
-    }
-    let tmp = path.with_extension("jsonl.tmp");
-    if let Err(e) = std::fs::write(&tmp, buf.as_bytes()) {
-        eprintln!("picachu-mapstore: compaction write to {} failed: {e}", tmp.display());
-        return;
-    }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        eprintln!("picachu-mapstore: compaction rename to {} failed: {e}", path.display());
-        let _ = std::fs::remove_file(&tmp);
-    }
-}
-
-/// Appends one entry (creating the directory, file, and version header as
-/// needed). Failures are warnings: the store is an accelerator, never a
-/// correctness dependency.
-pub fn append(key: &CompileKey, loops: &[CompiledLoop]) {
-    let Some(d) = dir() else { return };
-    if let Err(e) = std::fs::create_dir_all(&d) {
-        eprintln!("picachu-mapstore: cannot create {}: {e}", d.display());
-        return;
-    }
-    let path = d.join(FILE);
-    let file =
-        std::fs::OpenOptions::new().read(true).create(true).append(true).open(&path);
-    let mut file = match file {
-        Ok(f) => f,
+/// [`load`] against an explicit store directory. Problems other than a
+/// missing file are warnings; every one of them is a miss.
+fn load_from(dir: &Path, key: &CompileKey) -> Option<Vec<CompiledLoop>> {
+    let path = entry_path(dir, key);
+    let text = match std::fs::read_to_string(&path) {
+        Ok(t) => t,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
         Err(e) => {
-            eprintln!("picachu-mapstore: cannot open {}: {e}", path.display());
+            eprintln!("picachu-mapstore: cannot read {}: {e}", path.display());
+            return None;
+        }
+    };
+    // compare the key row before parsing: a colliding file is never
+    // imported, so its geometry and kernel are never built
+    if text.lines().nth(1) != Some(bitstream::key_row(key).as_str()) {
+        eprintln!("picachu-mapstore: {} holds another key; ignoring it", path.display());
+        return None;
+    }
+    match bitstream::import_bitstream(&text) {
+        Ok((_, loops)) => Some(loops),
+        Err(e) => {
+            eprintln!("picachu-mapstore: rejected {}: {e}", path.display());
+            None
+        }
+    }
+}
+
+/// Persists `key`'s entry to the configured store. Failures are warnings:
+/// the store is an accelerator, never a correctness dependency.
+pub(crate) fn save(key: &CompileKey, loops: &[CompiledLoop]) {
+    if let Some(d) = dir() {
+        save_to(&d, key, loops);
+    }
+}
+
+/// [`save`] against an explicit store directory: write a temp file unique
+/// to this process and call, then rename it over the entry.
+fn save_to(dir: &Path, key: &CompileKey, loops: &[CompiledLoop]) {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let text = match bitstream::export_bitstream(key, loops) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("picachu-mapstore: cannot export {}: {e}", key.op.name());
             return;
         }
     };
-    let mut buf = String::new();
-    let len = file.metadata().map(|m| m.len()).unwrap_or(0);
-    if len == 0 {
-        let _ = writeln!(buf, "{{\"picachu_mapstore\":{VERSION}}}");
-    } else {
-        // self-heal a torn tail from a writer killed mid-append: terminate
-        // it so this entry starts on its own line instead of merging into
-        // the fragment (O_APPEND ignores the read seek position)
-        use std::io::{Read as _, Seek as _, SeekFrom};
-        let mut last = [0u8; 1];
-        if file.seek(SeekFrom::End(-1)).is_ok()
-            && file.read_exact(&mut last).is_ok()
-            && last[0] != b'\n'
-        {
-            buf.push('\n');
-        }
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("picachu-mapstore: cannot create {}: {e}", dir.display());
+        return;
     }
-    encode_entry(&mut buf, key, loops);
-    buf.push('\n');
-    if let Err(e) = file.write_all(buf.as_bytes()) {
-        eprintln!("picachu-mapstore: write to {} failed: {e}", path.display());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// encoding
-
-fn escape(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn format_name(f: DataFormat) -> &'static str {
-    match f {
-        DataFormat::Fp32 => "fp32",
-        DataFormat::Fp16 => "fp16",
-        DataFormat::Int32 => "int32",
-        DataFormat::Int16 => "int16",
-    }
-}
-
-fn kind_name(k: LoopKind) -> &'static str {
-    match k {
-        LoopKind::Reduction => "reduction",
-        LoopKind::ElementWise => "elementwise",
-    }
-}
-
-fn encode_entry(out: &mut String, key: &CompileKey, loops: &[CompiledLoop]) {
-    out.push_str("{\"key\":{\"op\":");
-    escape(key.op.name(), out);
-    let _ = write!(
-        out,
-        ",\"rows\":{},\"cols\":{},\"format\":\"{}\",\"taylor\":{},\"unroll\":[",
-        key.cgra_rows,
-        key.cgra_cols,
-        format_name(key.format),
-        key.taylor_terms
-    );
-    for (i, u) in key.unroll_candidates.iter().enumerate() {
-        let _ = write!(out, "{}{u}", if i > 0 { "," } else { "" });
-    }
-    let _ = write!(out, "],\"seed\":{},\"dead_tiles\":[", key.seed);
-    for (i, t) in key.dead_tiles.iter().enumerate() {
-        let _ = write!(out, "{}{t}", if i > 0 { "," } else { "" });
-    }
-    out.push_str("],\"dead_links\":[");
-    for (i, (a, b)) in key.dead_links.iter().enumerate() {
-        let _ = write!(out, "{}[{a},{b}]", if i > 0 { "," } else { "" });
-    }
-    let _ = write!(
-        out,
-        "],\"universal\":{},\"incremental\":{}}},\"loops\":[",
-        key.universal, key.incremental
-    );
-    for (i, l) in loops.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"label\":");
-        escape(&l.label, out);
-        let _ = write!(
-            out,
-            ",\"kind\":\"{}\",\"uf\":{},\"vf\":{},\"ii\":{},\"len\":{},\"placements\":[",
-            kind_name(l.kind),
-            l.uf,
-            l.vf,
-            l.mapping.ii,
-            l.mapping.schedule_len
-        );
-        for (j, p) in l.mapping.placements.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}[{},{},{}]",
-                if j > 0 { "," } else { "" },
-                p.node.0,
-                p.tile,
-                p.time
-            );
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-}
-
-// ---------------------------------------------------------------------------
-// decoding
-
-fn decode_entry(v: &Json) -> Option<(CompileKey, Vec<CompiledLoop>)> {
-    let k = v.get("key")?;
-    let op_name = k.get("op")?.as_str()?;
-    let op = *NonlinearOp::ALL.iter().find(|o| o.name() == op_name)?;
-    let format = match k.get("format")?.as_str()? {
-        "fp32" => DataFormat::Fp32,
-        "fp16" => DataFormat::Fp16,
-        "int32" => DataFormat::Int32,
-        "int16" => DataFormat::Int16,
-        _ => return None,
-    };
-    let key = CompileKey {
-        op,
-        cgra_rows: k.get("rows")?.as_u64()? as usize,
-        cgra_cols: k.get("cols")?.as_u64()? as usize,
-        format,
-        taylor_terms: k.get("taylor")?.as_u64()? as usize,
-        unroll_candidates: k
-            .get("unroll")?
-            .as_array()?
-            .iter()
-            .map(|u| u.as_u64().map(|u| u as usize))
-            .collect::<Option<Vec<_>>>()?,
-        seed: k.get("seed")?.as_u64()?,
-        dead_tiles: k
-            .get("dead_tiles")?
-            .as_array()?
-            .iter()
-            .map(|t| t.as_u64().map(|t| t as usize))
-            .collect::<Option<Vec<_>>>()?,
-        dead_links: k
-            .get("dead_links")?
-            .as_array()?
-            .iter()
-            .map(|l| {
-                let pair = l.as_array()?;
-                match pair {
-                    [a, b] => Some((a.as_u64()? as usize, b.as_u64()? as usize)),
-                    _ => None,
-                }
-            })
-            .collect::<Option<Vec<_>>>()?,
-        universal: k.get("universal")?.as_bool()?,
-        incremental: k.get("incremental")?.as_bool()?,
-    };
-    let mut loops = Vec::new();
-    for l in v.get("loops")?.as_array()? {
-        let kind = match l.get("kind")?.as_str()? {
-            "reduction" => LoopKind::Reduction,
-            "elementwise" => LoopKind::ElementWise,
-            _ => return None,
-        };
-        let placements = l
-            .get("placements")?
-            .as_array()?
-            .iter()
-            .map(|p| {
-                let triple = p.as_array()?;
-                match triple {
-                    [n, t, c] => Some(Placement {
-                        node: NodeId(n.as_u64()? as usize),
-                        tile: t.as_u64()? as usize,
-                        time: c.as_u64()? as u32,
-                    }),
-                    _ => None,
-                }
-            })
-            .collect::<Option<Vec<_>>>()?;
-        loops.push(CompiledLoop {
-            label: l.get("label")?.as_str()?.to_string(),
-            kind,
-            uf: l.get("uf")?.as_u64()? as usize,
-            vf: l.get("vf")?.as_u64()? as usize,
-            mapping: Mapping {
-                ii: l.get("ii")?.as_u64()? as u32,
-                placements,
-                schedule_len: l.get("len")?.as_u64()? as u32,
-            },
-        });
-    }
-    Some((key, loops))
-}
-
-// ---------------------------------------------------------------------------
-// a minimal JSON reader — just enough for the lines this module writes.
-// Numbers keep their raw token so `u64` round-trips exactly (an `f64`
-// intermediate would corrupt large seeds).
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-fn parse(input: &str) -> Option<Json> {
-    let bytes = input.as_bytes();
-    let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos == bytes.len() {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\r' | b'\n') {
-        *pos += 1;
-    }
-}
-
-fn eat(b: &[u8], pos: &mut usize, c: u8) -> Option<()> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Some(())
-    } else {
-        None
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
-    skip_ws(b, pos);
-    match *b.get(*pos)? {
-        b'{' => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Some(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
-                    Json::Str(s) => s,
-                    _ => return None,
-                };
-                eat(b, pos, b':')?;
-                fields.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos)? {
-                    b',' => *pos += 1,
-                    b'}' => {
-                        *pos += 1;
-                        return Some(Json::Obj(fields));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        b'[' => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Some(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos)? {
-                    b',' => *pos += 1,
-                    b']' => {
-                        *pos += 1;
-                        return Some(Json::Arr(items));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        b'"' => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                match *b.get(*pos)? {
-                    b'"' => {
-                        *pos += 1;
-                        return Some(Json::Str(s));
-                    }
-                    b'\\' => {
-                        *pos += 1;
-                        match *b.get(*pos)? {
-                            b'"' => s.push('"'),
-                            b'\\' => s.push('\\'),
-                            b'/' => s.push('/'),
-                            b'n' => s.push('\n'),
-                            b'r' => s.push('\r'),
-                            b't' => s.push('\t'),
-                            b'u' => {
-                                let hex = b.get(*pos + 1..*pos + 5)?;
-                                let code =
-                                    u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16)
-                                        .ok()?;
-                                s.push(char::from_u32(code)?);
-                                *pos += 4;
-                            }
-                            _ => return None,
-                        }
-                        *pos += 1;
-                    }
-                    _ => {
-                        // consume one UTF-8 scalar
-                        let rest = std::str::from_utf8(&b[*pos..]).ok()?;
-                        let c = rest.chars().next()?;
-                        s.push(c);
-                        *pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-        b't' => {
-            *pos = pos.checked_add(4)?;
-            (b.get(*pos - 4..*pos)? == b"true").then_some(Json::Bool(true))
-        }
-        b'f' => {
-            *pos = pos.checked_add(5)?;
-            (b.get(*pos - 5..*pos)? == b"false").then_some(Json::Bool(false))
-        }
-        b'-' | b'0'..=b'9' => {
-            let start = *pos;
-            *pos += 1;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-            {
-                *pos += 1;
-            }
-            Some(Json::Num(String::from_utf8_lossy(&b[start..*pos]).into_owned()))
-        }
-        _ => None,
+    let path = entry_path(dir, key);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("{}.{seq}.tmp", std::process::id()));
+    let written = std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, &path));
+    if let Err(e) = written {
+        eprintln!("picachu-mapstore: cannot write {}: {e}", path.display());
+        let _ = std::fs::remove_file(&tmp);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{EngineConfig, PicachuEngine};
+    use picachu_nonlinear::NonlinearOp;
 
-    fn sample_key() -> CompileKey {
-        CompileKey {
-            op: NonlinearOp::Softmax,
-            cgra_rows: 4,
-            cgra_cols: 4,
-            format: DataFormat::Fp16,
-            taylor_terms: 6,
-            unroll_candidates: vec![1, 2, 4],
-            seed: u64::MAX - 7, // exercises exact u64 round-trip
-            dead_tiles: vec![3],
-            dead_links: vec![(1, 2)],
-            universal: false,
-            incremental: true,
-        }
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("picachu-mapstore-unit-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
-    fn sample_loops() -> Vec<CompiledLoop> {
-        vec![CompiledLoop {
-            label: "softmax(0) \"quoted\"".to_string(),
-            kind: LoopKind::Reduction,
-            uf: 2,
-            vf: 1,
-            mapping: Mapping {
-                ii: 3,
-                placements: vec![
-                    Placement { node: NodeId(0), tile: 5, time: 0 },
-                    Placement { node: NodeId(1), tile: 6, time: 2 },
-                ],
-                schedule_len: 12,
-            },
-        }]
+    /// A compiled ReLU entry under a seed no other test uses.
+    fn relu_entry() -> (CompileKey, Vec<CompiledLoop>) {
+        let cfg = EngineConfig { seed: 0x5704_E000, ..EngineConfig::default() };
+        let mut e = PicachuEngine::new(cfg);
+        (e.compile_key(NonlinearOp::Relu), e.compile_op(NonlinearOp::Relu).to_vec())
     }
 
     #[test]
     fn entry_round_trips_exactly() {
-        let key = sample_key();
-        let loops = sample_loops();
-        let mut line = String::new();
-        encode_entry(&mut line, &key, &loops);
-        let v = parse(&line).expect("well-formed line");
-        let (k2, l2) = decode_entry(&v).expect("decodable entry");
-        assert_eq!(k2, key);
-        assert_eq!(l2.len(), loops.len());
-        assert_eq!(l2[0].label, loops[0].label);
-        assert_eq!(l2[0].kind, loops[0].kind);
-        assert_eq!((l2[0].uf, l2[0].vf), (loops[0].uf, loops[0].vf));
-        assert_eq!(l2[0].mapping, loops[0].mapping);
-    }
-
-    #[test]
-    fn malformed_lines_decode_to_none() {
-        for bad in [
-            "",
-            "{",
-            "{\"key\":{}}",
-            "not json at all",
-            "{\"key\":{\"op\":\"no-such-op\"},\"loops\":[]}",
-        ] {
-            assert!(parse(bad).and_then(|v| decode_entry(&v)).is_none(), "{bad:?}");
-        }
-    }
-
-    fn temp_file(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("picachu-mapstore-compact-{}-{tag}", std::process::id()));
+        let dir = temp_dir("roundtrip");
+        let (key, loops) = relu_entry();
+        assert_eq!(load_from(&dir, &key), None, "empty store");
+        save_to(&dir, &key, &loops);
+        let path = entry_path(&dir, &key);
+        assert!(path.to_string_lossy().ends_with(".bitstream"));
+        let text = std::fs::read_to_string(&path).expect("entry written");
+        assert_eq!(Ok(text), bitstream::export_bitstream(&key, &loops), "the file is the export");
+        assert_eq!(load_from(&dir, &key), Some(loops));
+        let files = std::fs::read_dir(&dir).expect("store dir").count();
+        assert_eq!(files, 1, "no temp file left behind");
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        dir.join(FILE)
-    }
-
-    fn key_with_seed(seed: u64) -> CompileKey {
-        CompileKey { seed, ..sample_key() }
-    }
-
-    fn loops_with_ii(ii: u32) -> Vec<CompiledLoop> {
-        let mut loops = sample_loops();
-        loops[0].mapping.ii = ii;
-        loops
-    }
-
-    fn write_store(path: &PathBuf, lines: &[String]) {
-        let mut buf = format!("{{\"picachu_mapstore\":{VERSION}}}\n");
-        for l in lines {
-            buf.push_str(l);
-            buf.push('\n');
-        }
-        std::fs::write(path, buf).expect("write store");
-    }
-
-    fn entry_line(key: &CompileKey, loops: &[CompiledLoop]) -> String {
-        let mut s = String::new();
-        encode_entry(&mut s, key, loops);
-        s
     }
 
     #[test]
-    fn duplicate_heavy_store_compacts_preserving_first_wins_and_header() {
-        let path = temp_file("dups");
-        // key A appears three times with divergent payloads (a doctored
-        // store — real duplicates are bit-identical); key B once. 2/4
-        // duplicates is well past the threshold.
-        write_store(
-            &path,
-            &[
-                entry_line(&key_with_seed(1), &loops_with_ii(1)),
-                entry_line(&key_with_seed(1), &loops_with_ii(9)),
-                entry_line(&key_with_seed(2), &loops_with_ii(5)),
-                entry_line(&key_with_seed(1), &loops_with_ii(9)),
-            ],
-        );
-        let loaded = load_from(&path);
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded[0].1[0].mapping.ii, 1, "first occurrence wins");
-        let raw = std::fs::read_to_string(&path).expect("compacted file");
-        let lines: Vec<&str> = raw.lines().collect();
-        assert_eq!(lines.len(), 3, "header + 2 deduplicated entries");
-        assert_eq!(lines[0], &format!("{{\"picachu_mapstore\":{VERSION}}}"));
-        // the compacted file round-trips to the same view, compacting no
-        // further (no duplicates left)
-        let reloaded = load_from(&path);
-        assert_eq!(reloaded.len(), 2);
-        assert_eq!(reloaded[0].1[0].mapping.ii, 1);
-        let _ = std::fs::remove_dir_all(path.parent().expect("parent"));
-    }
-
-    #[test]
-    fn low_duplicate_ratio_does_not_compact() {
-        let path = temp_file("ratio");
-        // 1 duplicate in 10 decoded entries = 10% < threshold
-        let mut lines: Vec<String> =
-            (1..=9).map(|s| entry_line(&key_with_seed(s), &loops_with_ii(1))).collect();
-        lines.push(entry_line(&key_with_seed(1), &loops_with_ii(1)));
-        write_store(&path, &lines);
-        let before = std::fs::read_to_string(&path).expect("store");
-        assert_eq!(load_from(&path).len(), 9);
-        let after = std::fs::read_to_string(&path).expect("store");
-        assert_eq!(before, after, "below-threshold store must stay untouched");
-        let _ = std::fs::remove_dir_all(path.parent().expect("parent"));
-    }
-
-    #[test]
-    fn malformed_lines_veto_compaction() {
-        let path = temp_file("veto");
-        write_store(
-            &path,
-            &[
-                entry_line(&key_with_seed(1), &loops_with_ii(1)),
-                entry_line(&key_with_seed(1), &loops_with_ii(1)),
-                entry_line(&key_with_seed(1), &loops_with_ii(1)),
-                "{\"key\":\"written by a newer build\"}".to_string(),
-            ],
-        );
-        let before = std::fs::read_to_string(&path).expect("store");
-        assert_eq!(load_from(&path).len(), 1);
-        let after = std::fs::read_to_string(&path).expect("store");
-        assert_eq!(before, after, "a line this build cannot read must not be destroyed");
-        let _ = std::fs::remove_dir_all(path.parent().expect("parent"));
-    }
-
-    #[test]
-    fn torn_trailing_line_is_benign_truncation() {
-        let path = temp_file("torn");
-        // duplicate-heavy store whose final record is cut mid-write: the
-        // torn tail must not count as malformed, so compaction still fires
-        // (and heals the fragment away)
-        write_store(
-            &path,
-            &[
-                entry_line(&key_with_seed(1), &loops_with_ii(1)),
-                entry_line(&key_with_seed(1), &loops_with_ii(1)),
-                entry_line(&key_with_seed(1), &loops_with_ii(1)),
-                entry_line(&key_with_seed(2), &loops_with_ii(5)),
-            ],
-        );
-        let full = std::fs::read_to_string(&path).expect("store");
-        let cut = full.len() - 10; // mid-final-record, newline gone
-        std::fs::write(&path, &full[..cut]).expect("truncate");
-        let loaded = load_from(&path);
-        assert_eq!(loaded.len(), 1, "the torn record is skipped, the rest load");
-        assert_eq!(loaded[0].0.seed, key_with_seed(1).seed);
-        let after = std::fs::read_to_string(&path).expect("store");
-        assert!(after.ends_with('\n'), "compaction rewrote the store: {after:?}");
-        assert_eq!(after.lines().count(), 2, "header + the one surviving entry");
-        assert_eq!(load_from(&path).len(), 1, "healed store round-trips");
-        let _ = std::fs::remove_dir_all(path.parent().expect("parent"));
-    }
-
-    #[test]
-    fn append_self_heals_a_torn_tail() {
-        let path = temp_file("heal");
-        write_store(&path, &[entry_line(&key_with_seed(1), &loops_with_ii(1))]);
-        let full = std::fs::read_to_string(&path).expect("store");
-        std::fs::write(&path, &full[..full.len() - 10]).expect("truncate");
-        assert_eq!(load_from(&path).len(), 0, "the only entry was torn");
-        // append must terminate the fragment so the new entry does not
-        // merge into it
-        let dir = path.parent().expect("parent").to_path_buf();
-        set_mapstore_dir(Some(dir));
-        append(&key_with_seed(2), &loops_with_ii(5));
-        set_mapstore_dir(None);
-        let line = entry_line(&key_with_seed(2), &loops_with_ii(5));
-        let after = std::fs::read_to_string(&path).expect("store");
-        assert!(after.lines().any(|l| l == line), "new entry sits on its own line");
-        let loaded = load_from(&path);
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].0.seed, key_with_seed(2).seed);
-        let _ = std::fs::remove_dir_all(path.parent().expect("parent"));
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_nesting() {
-        let v = parse(r#"{"a":[1,{"b":"x\"y\\z"},[true,false]],"n":18446744073709551615}"#)
-            .expect("parses");
-        assert_eq!(v.get("n").and_then(Json::as_u64), Some(u64::MAX));
-        let arr = v.get("a").and_then(Json::as_array).expect("array");
-        assert_eq!(arr[1].get("b").and_then(Json::as_str), Some("x\"y\\z"));
+    fn colliding_or_rejected_entry_is_a_miss() {
+        let dir = temp_dir("reject");
+        let (key, loops) = relu_entry();
+        save_to(&dir, &key, &loops);
+        // another key's file under this key's name
+        let other = CompileKey { seed: key.seed + 1, ..key.clone() };
+        std::fs::rename(entry_path(&dir, &key), entry_path(&dir, &other)).expect("rename");
+        assert_eq!(load_from(&dir, &other), None, "colliding file");
+        // a torn file
+        save_to(&dir, &key, &loops);
+        let path = entry_path(&dir, &key);
+        let text = std::fs::read_to_string(&path).expect("entry");
+        std::fs::write(&path, &text[..text.len() / 2]).expect("truncate");
+        assert_eq!(load_from(&dir, &key), None, "torn file");
+        // the next save heals it
+        save_to(&dir, &key, &loops);
+        assert_eq!(load_from(&dir, &key), Some(loops));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

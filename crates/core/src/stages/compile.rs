@@ -385,7 +385,7 @@ impl CompileService {
     /// ablation knobs are absent because mapping never sees them. The
     /// `universal` flag mirrors the config's fabric flavor — a 4×4
     /// universal-fabric engine must never alias a 4×4 heterogeneous one.
-    fn compile_key(&self, config: &EngineConfig, op: NonlinearOp) -> CompileKey {
+    pub(crate) fn compile_key(&self, config: &EngineConfig, op: NonlinearOp) -> CompileKey {
         CompileKey {
             op,
             cgra_rows: config.cgra_rows,

@@ -7,7 +7,7 @@
 
 use picachu_nonlinear::NonlinearOp;
 use picachu_num::DataFormat;
-use std::fmt::Write as _;
+use picachu_testkit::json::json_escape;
 
 /// Identifies one sweep case: everything needed to rebuild the engine and
 /// inputs that produced a discrepancy.
@@ -44,22 +44,6 @@ pub struct Discrepancy {
     pub expected: f64,
     /// Simulated / interpreted value.
     pub actual: f64,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl Discrepancy {

@@ -17,6 +17,7 @@
 //! still execute" gate. Any other non-flag argument is a substring filter on
 //! `group/bench` names. The `--bench` flag cargo appends is ignored.
 
+use crate::json::json_escape;
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};
 
@@ -189,16 +190,6 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     debug_assert!(!sorted.is_empty());
     let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
     sorted[rank.min(sorted.len() - 1)]
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]

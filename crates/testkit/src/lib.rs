@@ -11,12 +11,16 @@
 //! | `proptest`     | [`prop_check!`] + greedy stream shrinking     | [`prop`] |
 //! | `criterion`    | wall-clock harness, JSON lines, `--smoke`     | [`bench`] |
 //!
+//! It also holds the workspace's one JSON escaper ([`json`]), shared by
+//! every JSON-lines writer.
+//!
 //! Everything is deterministic: a seed fully determines an RNG stream, a
 //! `(cases, seed)` pair fully determines a property run, and a failing
 //! property reports a **case seed** that [`prop::replay`] re-executes
 //! verbatim. See `README.md` §"Building & testing (offline)".
 
 pub mod bench;
+pub mod json;
 pub mod prop;
 pub mod rng;
 

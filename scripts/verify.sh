@@ -46,29 +46,7 @@ mv "$SOAK_SCRATCH/results/BENCH_soak.json" "$SOAK_SCRATCH/soak.t1.json"
 (cd "$SOAK_SCRATCH" && PICACHU_THREADS=4 "$REPO_ROOT/target/release/serve_soak" --smoke)
 cmp "$SOAK_SCRATCH/results/BENCH_soak.json" "$SOAK_SCRATCH/soak.t1.json" \
   || { echo "soak smoke: FAILED (artifact differs between 1 and 4 threads)"; exit 1; }
-python3 - "$SOAK_SCRATCH/results/BENCH_soak.json" <<'EOF'
-import json, sys
-required = {"mode", "seed", "shards", "requests", "events", "horizon_ns",
-            "chaos_crashes", "chaos_degradations", "chaos_compile_outages",
-            "completed", "rejected", "shed", "abandoned", "retries",
-            "preemptions", "killed_batches", "wasted_ns", "availability",
-            "shed_rate", "retry_amplification", "p50_latency_ns",
-            "p99_latency_ns", "p99_ttft_ns", "slo_attainment",
-            "throughput_tokens_per_s", "audit_ok"}
-rows = [json.loads(l) for l in open(sys.argv[1]) if l.strip().startswith("{")]
-if len(rows) != 1:
-    sys.exit(f"soak smoke: expected 1 artifact row, got {len(rows)}")
-r = rows[0]
-missing = required - r.keys()
-if missing:
-    sys.exit(f"soak smoke: row missing keys {sorted(missing)}")
-if not r["audit_ok"]:
-    sys.exit("soak smoke: scheduler audit violated under chaos")
-if r["availability"] < 0.6:
-    sys.exit(f"soak smoke: availability {r['availability']:.3f} below the 0.6 floor")
-print(f"soak smoke: OK ({r['events']} events, availability {r['availability']:.3f}, "
-      f"{r['preemptions']} preemptions, {r['shed']} shed, thread-count invariant)")
-EOF
+python3 scripts/check_rows.py soak "$SOAK_SCRATCH/results/BENCH_soak.json"
 rm -rf "$SOAK_SCRATCH"
 
 echo "== bench smoke (one call per benchmark, offline) =="
@@ -116,11 +94,8 @@ else:
     print("speedup gate: OK")
 EOF
 
-echo "== mapstore round-trip smoke (cold compile -> store -> warm, bit-identical) =="
-cargo test -q -p picachu --test mapstore_store_roundtrip --offline
-
-echo "== bitstream round-trip smoke (16x16 export -> fresh cache -> zero mapper calls) =="
-cargo test -q -p picachu --test bitstream_roundtrip --offline
+echo "== mapstore round-trip smoke (4x4 store warm + tamper self-heal, 16x16 bitstream install) =="
+cargo test -q -p picachu --test mapstore_roundtrip --offline
 
 echo "== pnr smoke (staged P&R: paper-scale bit-identity + 16x16 payoff, thread-invariant) =="
 # pnr_scaling --smoke maps softmax on 4x4 (greedy fast path) and 16x16
@@ -135,64 +110,22 @@ mv "$PNR_SCRATCH/results/BENCH_pnr.json" "$PNR_SCRATCH/pnr.t1.json"
 (cd "$PNR_SCRATCH" && PICACHU_THREADS=4 "$REPO_ROOT/target/release/pnr_scaling" --smoke)
 cmp "$PNR_SCRATCH/results/BENCH_pnr.json" "$PNR_SCRATCH/pnr.t1.json" \
   || { echo "pnr smoke: FAILED (artifact differs between 1 and 4 threads)"; exit 1; }
-python3 - "$PNR_SCRATCH/results/BENCH_pnr.json" <<'EOF'
-import json, sys
-case_keys = {"kind", "loop", "uf", "rows", "cols", "tiles", "mode", "ok", "ii",
-             "area", "chan_util", "folded_hops", "congestion_free"}
-rows = [json.loads(l) for l in open(sys.argv[1]) if l.strip().startswith("{")]
-cases = [r for r in rows if r.get("kind") == "case"]
-idents = [r for r in rows if r.get("kind") == "identity"]
-summaries = [r for r in rows if r.get("kind") == "summary"]
-if not cases:
-    sys.exit("pnr smoke: no case rows")
-for r in cases:
-    missing = case_keys - r.keys()
-    if missing:
-        sys.exit(f"pnr smoke: case row missing keys {sorted(missing)}")
-if not idents:
-    sys.exit("pnr smoke: no paper-scale identity rows")
-for r in idents:
-    if not r["bit_identical"]:
-        sys.exit(f"pnr smoke: Auto != Greedy at {r['rows']}x{r['cols']} (paper-scale regression)")
-if len(summaries) != 1:
-    sys.exit(f"pnr smoke: expected 1 summary row, got {len(summaries)}")
-s = summaries[0]
-if s["payoff_kind"] == "none":
-    sys.exit("pnr smoke: annealed engine shows no payoff at the largest fabric")
-print(f"pnr smoke: OK ({len(cases)} cases, identity at paper scale, "
-      f"payoff {s['payoff_kind']} on {s['payoff_kernel']}, thread-count invariant)")
-EOF
+python3 scripts/check_rows.py pnr "$PNR_SCRATCH/results/BENCH_pnr.json"
 rm -rf "$PNR_SCRATCH"
 
 echo "== dse smoke (seeded mini-search: artifact schema + thread-count invariance) =="
-# The co-design search must emit a non-empty, schema-valid results/pareto.json
-# and the artifact must be bit-identical at 1 and 4 worker threads (the search
+# The co-design search must emit a non-empty, schema-valid pareto.json and
+# the artifact must be bit-identical at 1 and 4 worker threads (the search
 # parallelizes candidate evaluation but is seeded and submission-ordered).
-PICACHU_THREADS=1 cargo run --release -q -p picachu-bench --bin dse_pareto --offline -- --smoke
-cp results/pareto.json results/pareto.t1.json
-PICACHU_THREADS=4 cargo run --release -q -p picachu-bench --bin dse_pareto --offline -- --smoke
-cmp results/pareto.json results/pareto.t1.json \
+# Scratch directory keeps the committed full-run results/pareto.json
+# untouched.
+DSE_SCRATCH=$(mktemp -d)
+(cd "$DSE_SCRATCH" && PICACHU_THREADS=1 "$REPO_ROOT/target/release/dse_pareto" --smoke)
+mv "$DSE_SCRATCH/results/pareto.json" "$DSE_SCRATCH/pareto.t1.json"
+(cd "$DSE_SCRATCH" && PICACHU_THREADS=4 "$REPO_ROOT/target/release/dse_pareto" --smoke)
+cmp "$DSE_SCRATCH/results/pareto.json" "$DSE_SCRATCH/pareto.t1.json" \
   || { echo "dse smoke: FAILED (pareto.json differs between 1 and 4 threads)"; exit 1; }
-rm -f results/pareto.t1.json
-python3 - <<'EOF'
-import json, sys
-required = {"model", "cgra_rows", "cgra_cols", "fabric", "buffer_kb", "format",
-            "lean_unroll", "incremental_repair", "latency", "energy_nj",
-            "area_mm2", "resilience", "utilization"}
-rows = 0
-with open("results/pareto.json") as f:
-    for line in f:
-        line = line.strip()
-        if not line.startswith("{"):
-            continue
-        r = json.loads(line)
-        missing = required - r.keys()
-        if missing:
-            sys.exit(f"dse smoke: row missing keys {sorted(missing)}")
-        rows += 1
-if rows == 0:
-    sys.exit("dse smoke: results/pareto.json has no frontier rows")
-print(f"dse smoke: OK ({rows} frontier rows, thread-count invariant)")
-EOF
+python3 scripts/check_rows.py dse "$DSE_SCRATCH/results/pareto.json"
+rm -rf "$DSE_SCRATCH"
 
 echo "verify: OK"
