@@ -476,12 +476,6 @@ pub(crate) fn place_rest(
             }
         }
         if !placed_here {
-            if std::env::var_os("PICACHU_MAP_DEBUG").is_some() {
-                eprintln!(
-                    "  [map-debug] II={ii}: no slot for {} ({}), prio={}",
-                    node.id, node.op, ctx.levels[v]
-                );
-            }
             return None;
         }
     }
@@ -508,12 +502,6 @@ fn verify_recurrences(
                 let lat = dfg.nodes()[e.from.0].op.latency();
                 let hops = mask.hops(spec, pu.tile, pv.tile)?;
                 if pu.time + lat + hops > pv.time + e.distance * ii {
-                    if std::env::var_os("PICACHU_MAP_DEBUG").is_some() {
-                        eprintln!(
-                            "  [map-debug] II={ii}: recurrence {} -> {} violated (tu={} tv={})",
-                            e.from, node.id, pu.time, pv.time
-                        );
-                    }
                     return None;
                 }
             }

@@ -10,9 +10,13 @@
 //! a `RwLock<HashMap>` shared by every engine (and every worker thread of the
 //! parallel runtime), with hit/miss counters for the benches.
 //!
-//! The cache is semantically invisible: compilation is deterministic in the
-//! key, so a hit returns bit-identical loops to a fresh compile. Entries are
-//! `Arc`ed, so a hit is one map lookup plus a refcount bump.
+//! The cache is a memo and nothing more: compilation is deterministic in the
+//! key, so a hit returns bit-identical loops to a fresh compile, and no
+//! output — a mapping, a degradation-ladder rung, an II inflation or a cost
+//! estimate — depends on whether a key is present. Callers only ever look
+//! up the key they are about to compile; whether some other engine put it
+//! there changes wall time, never a result. Entries are `Arc`ed, so a hit
+//! is one map lookup plus a refcount bump.
 
 use crate::engine::CompiledLoop;
 use picachu_nonlinear::NonlinearOp;
@@ -57,10 +61,10 @@ pub struct CompileKey {
     pub universal: bool,
     /// `true` when the mapping was produced by incremental repair of the
     /// healthy mapping (retained II, re-placed sub-DFG) rather than a full
-    /// re-map. Part of the key so the two never alias: which one a process
-    /// computes depends on its history (repair needs a healthy mapping on
-    /// hand), and the cache — and the on-disk store shared across processes
-    /// — must stay a pure function of the key.
+    /// re-map. Part of the key so the two never alias: the degradation
+    /// ladder may compute both for one fault set (the full re-map when
+    /// repair fails), and the cache — and the on-disk store shared across
+    /// processes — must stay a pure function of the key.
     pub incremental: bool,
 }
 

@@ -11,7 +11,7 @@
 //! [`Accelerator`] backend contract the comparison harness drives.
 
 use crate::error::PicachuError;
-use crate::stages::{Accountant, CompileService, Dispatcher, PhaseTotals};
+use crate::stages::{Accountant, CompileService, Dispatcher};
 use picachu_backend::{Accelerator, Breakdown, CompileHint, ExecutionReport};
 use picachu_compiler::arch::CgraSpec;
 use picachu_compiler::mapper::{MapError, PnrReport, ResourceMask};
@@ -89,12 +89,6 @@ pub struct EngineConfig {
     /// knob: repair retains capacity under faults but implies the serving
     /// node holds healthy mappings for every kernel it may need to fix.
     pub incremental_repair: bool,
-    /// Per-mapping-attempt deadline in milliseconds for the degraded compile
-    /// path (`None` = unbounded, the default — healthy compiles are fast and
-    /// a deadline would make them timing-dependent). When set, a mapping
-    /// attempt that exceeds the budget returns a mapper timeout and the
-    /// degradation ladder falls through to the next level.
-    pub compile_deadline_ms: Option<u64>,
 }
 
 impl Default for EngineConfig {
@@ -114,13 +108,12 @@ impl Default for EngineConfig {
             double_buffering: true,
             streaming: true,
             incremental_repair: true,
-            compile_deadline_ms: None,
         }
     }
 }
 
-/// Cycles per nonlinear element the cold capacity hint charges when a
-/// kernel has never been compiled in the process (see
+/// Cycles per nonlinear element the cold capacity hint charges when the
+/// engine has not compiled a kernel itself (see
 /// [`Accelerator::estimate_trace`] on the engine). Exposed nonlinear cost
 /// on the healthy 4×4 fabric lands between ~0.5 (vectorized element-wise,
 /// mostly overlapped) and ~4 (multi-loop reductions) cycles/element across
@@ -288,22 +281,20 @@ impl PicachuEngine {
         loops.iter().map(|l| l.cycles(elems)).sum()
     }
 
-    /// Runs the dispatcher over `trace` against the engine's compile cache,
-    /// panicking (like [`PicachuEngine::compile_op`]) on a compile failure.
-    fn dispatch_totals(&mut self, trace: &[TraceOp]) -> PhaseTotals {
+    /// Executes a full operator trace with the §4.2.4 dataflow cases,
+    /// returning the exposed-latency breakdown.
+    ///
+    /// # Panics
+    /// Panics (like [`PicachuEngine::compile_op`]) when a kernel fails to map.
+    pub fn execute_trace(&mut self, trace: &[TraceOp]) -> Breakdown {
         let PicachuEngine { ref config, ref mut compile, ref dispatch, .. } = *self;
-        dispatch.execute_trace(config, trace, &mut |op| {
+        let totals = dispatch.execute_trace(config, trace, &mut |op| {
             match compile.try_compile_op(config, op) {
                 Ok(loops) => loops,
                 Err(e) => panic!("{e}"),
             }
-        })
-    }
-
-    /// Executes a full operator trace with the §4.2.4 dataflow cases,
-    /// returning the exposed-latency breakdown.
-    pub fn execute_trace(&mut self, trace: &[TraceOp]) -> Breakdown {
-        self.dispatch_totals(trace).breakdown()
+        });
+        totals.breakdown()
     }
 
     /// [`PicachuEngine::execute_trace`] under a fault plan: every nonlinear
@@ -333,12 +324,8 @@ impl PicachuEngine {
                 }
             }
         }
-        // the engine-local cache is consulted before the process cache, so
-        // shadowing it points the dispatcher at the degraded mappings; the
-        // healthy view is restored before returning
-        let saved = std::mem::replace(&mut self.compile.cache, degraded);
-        let mut totals = self.dispatch_totals(trace);
-        self.compile.cache = saved;
+        let mut totals =
+            self.dispatch.execute_trace(&self.config, trace, &mut |op| degraded[&op].clone());
         let overhead = self.dispatch.fault_overhead(&self.config, trace, plan)?;
         totals.overhead = totals.overhead.saturating_add(overhead);
         Ok(totals.breakdown())
@@ -431,35 +418,24 @@ impl Accelerator for PicachuEngine {
         self.report(b)
     }
 
-    /// The capacity hint. **Warm** (every distinct nonlinear op of the
-    /// trace already compiled, locally or in the process cache): runs the
-    /// real dispatcher read-only against the cached mappings, so the
-    /// estimate *is* the measurement, bit for bit. **Cold**: GEMM cycles
+    /// The capacity hint. **Warm** (this engine has compiled every distinct
+    /// nonlinear op of the trace itself; what other engines put in the
+    /// process cache does not count): runs the real dispatcher read-only
+    /// against the engine's mappings, so the estimate *is* the measurement,
+    /// bit for bit. **Cold**: GEMM cycles
     /// are still exact (the systolic model is stateless); nonlinear work
     /// is priced at [`COLD_NONLINEAR_CYCLES_PER_ELEMENT`] without mapping
     /// anything — crude, but the serving placer only needs relative order
     /// and the parity suite bounds the error to a small constant factor.
     fn estimate_trace(&self, trace: &[TraceOp]) -> f64 {
-        let mut cached: HashMap<NonlinearOp, Arc<Vec<CompiledLoop>>> = HashMap::new();
-        let mut warm = true;
-        for t in trace {
-            if let TraceOp::Nonlinear { op, .. } = *t {
-                if let std::collections::hash_map::Entry::Vacant(e) = cached.entry(op) {
-                    match self.compile.peek(&self.config, op) {
-                        Some(loops) => {
-                            e.insert(loops);
-                        }
-                        None => {
-                            warm = false;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
+        let warm = trace.iter().all(|t| match *t {
+            TraceOp::Nonlinear { op, .. } => self.compile.is_compiled(op),
+            TraceOp::Gemm { .. } => true,
+        });
         if warm {
-            let totals =
-                self.dispatch.execute_trace(&self.config, trace, &mut |op| cached[&op].clone());
+            let totals = self.dispatch.execute_trace(&self.config, trace, &mut |op| {
+                self.compile.loops(op).clone()
+            });
             return totals.breakdown().total();
         }
         trace
@@ -719,7 +695,6 @@ mod tests {
     #[test]
     fn degraded_compile_reports_inflation_against_healthy_baseline() {
         let mut e = engine();
-        e.compile_op(NonlinearOp::Silu); // prime the healthy baseline
         let plan = picachu_faults::FaultPlan::dead_tile(0)
             .with_dead_tile(5)
             .with_dead_tile(10);
@@ -727,31 +702,6 @@ mod tests {
         assert_eq!(dc.alive_tiles, 13);
         // reported, not asserted monotone — but it must be a real ratio
         assert!(dc.ii_inflation.is_finite() && dc.ii_inflation > 0.0);
-    }
-
-    #[test]
-    fn zero_deadline_serves_last_known_good_compile() {
-        // seeds unique to this test keep it hermetic against the shared
-        // process cache while other tests run concurrently
-        let mut warm = PicachuEngine::new(EngineConfig {
-            seed: 0xD00D_0002,
-            ..EngineConfig::default()
-        });
-        warm.compile_op(NonlinearOp::Relu);
-        let mut e = PicachuEngine::new(EngineConfig {
-            seed: 0xD00D_0001,
-            compile_deadline_ms: Some(0),
-            ..EngineConfig::default()
-        });
-        // transplant the warm engine's local cache: models an engine whose
-        // process-cache entry was evicted but that served this op before
-        e.compile.cache = warm.compile.cache.clone();
-        // rung 1 misses the process cache and times out instantly; rung 2
-        // serves the last known-good compile
-        let dc = e
-            .compile_op_degraded(NonlinearOp::Relu, &picachu_faults::FaultPlan::none())
-            .unwrap();
-        assert_eq!(dc.fallback, FallbackLevel::Cached);
     }
 
     #[test]
@@ -782,7 +732,7 @@ mod tests {
             .unwrap();
         assert_eq!(healthy, faulted, "empty plan must be the identity");
         assert_eq!(faulted.overhead, 0.0, "no faults, no service overhead");
-        // and the healthy cache view is restored
+        // and the healthy dispatch is untouched by the faulted one
         let again = e.execute_trace(&trace);
         assert_eq!(healthy, again);
     }

@@ -3,11 +3,13 @@
 //! Turns nonlinear operations into CGRA mappings: builds the kernel, then
 //! per loop picks the unroll factor minimizing the per-element II (and the
 //! INT16 vector factor when the format selects it). All compilation flows
-//! through the process-wide [`compile_cache`], with an engine-local view on
-//! top so the hot path never takes the cache lock twice for the same op.
-//! Under faults the service walks the DESIGN §7 degradation ladder:
-//! incremental repair → re-map → cached healthy mapping → universal-fabric
-//! re-map → reject.
+//! through the process-wide [`compile_cache`] memo, with an engine-local
+//! view on top so the hot path never takes the cache lock twice for the
+//! same op. Every compile is a function of `(config, op, fault plan)` only:
+//! whether some other engine already compiled a key changes how fast an
+//! answer arrives, never which answer. Under faults the service walks the
+//! DESIGN §7 degradation ladder: incremental repair → re-map →
+//! universal-fabric re-map → reject.
 //!
 //! Cold compilation is one **flat** parallel pass: the full
 //! `(op × loop × unroll × II × attempt)` search space goes to
@@ -29,7 +31,6 @@ use picachu_nonlinear::{LoopKind, NonlinearOp};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// How far down the degradation ladder a faulted compile had to go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,10 +41,6 @@ pub enum FallbackLevel {
     Incremental,
     /// The kernel re-mapped around the faults on the engine's own fabric.
     Remapped,
-    /// Re-mapping failed (typically a deadline) but the fabric is intact, so
-    /// the cached healthy mapping is served. Never used on a degraded
-    /// fabric: a healthy mapping may place work on dead resources.
-    Cached,
     /// The kernel only mapped on the all-universal fallback fabric (every PE
     /// supports every opcode — lower ResMII pressure around dead tiles).
     Universal,
@@ -54,7 +51,6 @@ impl fmt::Display for FallbackLevel {
         match self {
             FallbackLevel::Incremental => write!(f, "incrementally repaired"),
             FallbackLevel::Remapped => write!(f, "re-mapped"),
-            FallbackLevel::Cached => write!(f, "cached fallback"),
             FallbackLevel::Universal => write!(f, "universal-fabric fallback"),
         }
     }
@@ -64,14 +60,14 @@ impl fmt::Display for FallbackLevel {
 /// degraded the service is.
 #[derive(Debug, Clone)]
 pub struct DegradedCompile {
-    /// The compiled loops (from the process cache when warm).
+    /// The compiled loops.
     pub loops: Arc<Vec<CompiledLoop>>,
     /// Which rung of the degradation ladder produced them.
     pub fallback: FallbackLevel,
     /// Σ degraded II / Σ healthy II across the op's loops — reported, not
     /// asserted (detours usually inflate II, but a smaller live portfolio
-    /// can occasionally luck into a better placement). `1.0` when no
-    /// healthy baseline exists to compare against.
+    /// can occasionally luck into a better placement). `1.0` when the
+    /// healthy compile fails, so no baseline exists to compare against.
     pub ii_inflation: f64,
     /// Alive PEs on the fabric the loops run on.
     pub alive_tiles: usize,
@@ -110,11 +106,10 @@ impl CompiledLoop {
 #[derive(Debug)]
 pub struct CompileService {
     spec: CgraSpec,
-    /// Engine-local view of the process-wide [`compile_cache`]: one lookup
-    /// per op after the first, no lock traffic on the hot path. `pub(crate)`
-    /// so the engine can shadow it with degraded mappings during a faulted
-    /// dispatch (and tests can transplant warm views).
-    pub(crate) cache: HashMap<NonlinearOp, Arc<Vec<CompiledLoop>>>,
+    /// The healthy loops of every op this service compiled: one
+    /// [`compile_cache`] lookup per op after the first, no lock traffic on
+    /// the hot path.
+    cache: HashMap<NonlinearOp, Arc<Vec<CompiledLoop>>>,
 }
 
 impl CompileService {
@@ -128,30 +123,20 @@ impl CompileService {
         &self.spec
     }
 
-    /// The locally-cached loops for `op`.
+    /// The loops this service compiled for `op`.
     ///
     /// # Panics
     /// Panics if `op` was never compiled through this service — callers go
-    /// through [`CompileService::try_compile_op`] first.
-    pub(crate) fn loops(&self, op: NonlinearOp) -> &[CompiledLoop] {
+    /// through [`CompileService::try_compile_op`] (or check
+    /// [`CompileService::is_compiled`]) first.
+    pub(crate) fn loops(&self, op: NonlinearOp) -> &Arc<Vec<CompiledLoop>> {
         &self.cache[&op]
     }
 
-    /// Read-only cache probe: the locally-cached loops for `op`, falling
-    /// back to the process-wide [`compile_cache`] entry under this config's
-    /// key. `None` when the kernel has never been compiled anywhere in the
-    /// process — the cold case the engine's capacity hint
-    /// ([`Accelerator::estimate_trace`](picachu_backend::Accelerator))
-    /// estimates analytically instead.
-    pub(crate) fn peek(
-        &self,
-        config: &EngineConfig,
-        op: NonlinearOp,
-    ) -> Option<Arc<Vec<CompiledLoop>>> {
-        if let Some(hit) = self.cache.get(&op) {
-            return Some(hit.clone());
-        }
-        compile_cache::lookup(&self.compile_key(config, op))
+    /// Whether this service has compiled `op`. Never reads the process
+    /// cache, so the answer depends only on this service's own calls.
+    pub(crate) fn is_compiled(&self, op: NonlinearOp) -> bool {
+        self.cache.contains_key(&op)
     }
 
     /// The non-panicking compile path: compiles (or returns cached) loops,
@@ -173,7 +158,7 @@ impl CompileService {
             Some(hit) => hit,
             None => {
                 let full = ResourceMask::full(&self.spec);
-                let loops = self.compile_one(config, op, &self.spec, &full, None)?;
+                let loops = self.compile_one(config, op, &self.spec, &full)?;
                 compile_cache::publish(key, loops)
             }
         };
@@ -215,7 +200,7 @@ impl CompileService {
             return Ok(());
         }
         let full = ResourceMask::full(&self.spec);
-        let compiled = self.compile_batch(config, &misses, &self.spec, &full, None)?;
+        let compiled = self.compile_batch(config, &misses, &self.spec, &full)?;
         for (&op, loops) in misses.iter().zip(compiled) {
             let arc = compile_cache::publish(self.compile_key(config, op), loops?);
             self.cache.insert(op, arc);
@@ -224,84 +209,71 @@ impl CompileService {
     }
 
     /// Compiles `op` for a faulted fabric, walking the degradation ladder
-    /// (DESIGN §7): **incremental repair** of the cached healthy mapping
-    /// (retained II, only the disturbed sub-DFG re-placed — skipped when no
-    /// healthy mapping is on hand) → **re-map** around the dead resources on
-    /// the engine's own fabric → **cached** healthy mapping (only when the
-    /// fabric is intact and the failure was a deadline, never on real
-    /// topology faults) → **universal-fabric** re-map (every PE supports
-    /// every opcode) → **reject** with the primary error. Each rung is
-    /// deadline-bounded by
-    /// [`EngineConfig::compile_deadline_ms`] and every successful compile is
-    /// published to the process cache under its exact fault set, so repeated
-    /// requests against the same degraded part hit the cache.
+    /// (DESIGN §7). The healthy compile comes first ([`Self::try_compile_op`],
+    /// a memo hit when warm): on an intact fabric it is the answer, otherwise
+    /// it is the II-inflation base and the repair base. Then **incremental
+    /// repair** of the healthy mapping (retained II, only the disturbed
+    /// sub-DFG re-placed) → **re-map** around the dead resources on the
+    /// engine's own fabric → **universal-fabric** re-map (every PE supports
+    /// every opcode) → **reject** with the primary error. Every successful
+    /// compile is published to the process cache under its exact fault set,
+    /// so repeated requests against the same degraded part hit the cache.
     ///
     /// # Errors
     /// [`PicachuError::Compile`] when every rung fails — the error carries
-    /// the mapper's diagnosis from the first (re-map) rung, which is the
-    /// informative one.
+    /// the mapper's diagnosis from the own-fabric re-map rung, which is the
+    /// informative one. On an intact fabric, the healthy compile's error.
     pub fn compile_op_degraded(
         &mut self,
         config: &EngineConfig,
         op: NonlinearOp,
         plan: &FaultPlan,
     ) -> Result<DegradedCompile, PicachuError> {
-        let deadline = config.compile_deadline_ms.map(Duration::from_millis);
         let mask = ResourceMask::degraded(
             &self.spec,
             plan.dead_tiles.iter().copied(),
             plan.dead_links.iter().copied(),
         );
         let alive = mask.alive_count();
-        // intact fabric, no deadline pressure: the healthy compile *is* the
-        // degraded compile, bit-identically
-        if plan.fabric_intact() && deadline.is_none() {
-            let loops = self.try_compile_op(config, op)?;
+        let healthy = self.try_compile_op(config, op);
+        // intact fabric: the healthy compile *is* the degraded compile
+        if plan.fabric_intact() {
             return Ok(DegradedCompile {
-                loops,
+                loops: healthy?,
                 fallback: FallbackLevel::Remapped,
                 ii_inflation: 1.0,
                 alive_tiles: alive,
             });
         }
-        // healthy baseline for II-inflation reporting — cache-only, so the
-        // deadline-bounded degraded path never grows an unbounded healthy
-        // compile (inflation reads 1.0 until something compiled healthy)
-        let healthy_ii: Option<u64> = self
-            .cache
-            .get(&op)
-            .cloned()
-            .or_else(|| compile_cache::lookup(&self.compile_key(config, op)))
-            .map(|loops| loops.iter().map(|l| l.mapping.ii as u64).sum());
+        let healthy = healthy.ok();
+        let healthy_ii: Option<u64> =
+            healthy.as_ref().map(|loops| loops.iter().map(|l| l.mapping.ii as u64).sum());
         // rung 1: incremental repair — retain the healthy II and every
         // placement the faults did not disturb, re-placing only the affected
-        // sub-DFG. Needs a healthy mapping on hand (engine-local or process
-        // cache; this rung never *computes* one), a genuinely degraded
-        // fabric (on an intact fabric the healthy mapping needs no repair),
-        // and the config's repair eligibility (`incremental_repair: false`
+        // sub-DFG. Off when the config opts out (`incremental_repair: false`
         // deployments keep no mapping resident, so every fault is a full
         // re-map — a DSE compiler-strategy knob).
-        if config.incremental_repair && !plan.fabric_intact() {
-            let ikey =
-                CompileKey { incremental: true, ..self.degraded_key(config, op, plan, false) };
-            let repaired = match compile_cache::lookup(&ikey) {
-                Some(hit) => Some(hit),
-                None => self
-                    .cache
-                    .get(&op)
-                    .cloned()
-                    .or_else(|| compile_cache::lookup(&self.compile_key(config, op)))
-                    .and_then(|healthy| self.try_repair_loops(config, op, &mask, &healthy))
-                    .map(|loops| compile_cache::publish(ikey, loops)),
-            };
-            if let Some(loops) = repaired {
-                let ii_inflation = CompileService::ii_inflation(healthy_ii, &loops);
-                return Ok(DegradedCompile {
-                    loops,
-                    fallback: FallbackLevel::Incremental,
-                    ii_inflation,
-                    alive_tiles: alive,
-                });
+        if config.incremental_repair {
+            if let Some(healthy) = &healthy {
+                let ikey = CompileKey {
+                    incremental: true,
+                    ..self.degraded_key(config, op, plan, false)
+                };
+                let repaired = match compile_cache::lookup(&ikey) {
+                    Some(hit) => Some(hit),
+                    None => self
+                        .try_repair_loops(config, op, &mask, healthy)
+                        .map(|loops| compile_cache::publish(ikey, loops)),
+                };
+                if let Some(loops) = repaired {
+                    let ii_inflation = CompileService::ii_inflation(healthy_ii, &loops);
+                    return Ok(DegradedCompile {
+                        loops,
+                        fallback: FallbackLevel::Incremental,
+                        ii_inflation,
+                        alive_tiles: alive,
+                    });
+                }
             }
         }
         // rung 2: full re-map around the faults on the engine's own fabric
@@ -309,7 +281,7 @@ impl CompileService {
         let primary = match compile_cache::lookup(&key) {
             Some(hit) => Ok(hit),
             None => self
-                .compile_one(config, op, &self.spec, &mask, deadline)
+                .compile_one(config, op, &self.spec, &mask)
                 .map(|loops| compile_cache::publish(key, loops)),
         };
         let primary_err = match primary {
@@ -324,26 +296,7 @@ impl CompileService {
             }
             Err(e) => e,
         };
-        // rung 3: last-known-good mapping — legal only while the fabric is
-        // intact (a healthy mapping may use any tile or link). The engine's
-        // local view survives process-cache clears, so a deadline miss on
-        // re-validation still serves.
-        if plan.fabric_intact() {
-            if let Some(hit) = self
-                .cache
-                .get(&op)
-                .cloned()
-                .or_else(|| compile_cache::lookup(&self.compile_key(config, op)))
-            {
-                return Ok(DegradedCompile {
-                    loops: hit,
-                    fallback: FallbackLevel::Cached,
-                    ii_inflation: 1.0,
-                    alive_tiles: alive,
-                });
-            }
-        }
-        // rung 4: the all-universal fallback fabric, same fault set
+        // rung 3: the all-universal fallback fabric, same fault set
         let uspec = CgraSpec::universal(config.cgra_rows, config.cgra_cols);
         let umask = ResourceMask::degraded(
             &uspec,
@@ -354,7 +307,7 @@ impl CompileService {
         let fallback = match compile_cache::lookup(&ukey) {
             Some(hit) => Ok(hit),
             None => self
-                .compile_one(config, op, &uspec, &umask, deadline)
+                .compile_one(config, op, &uspec, &umask)
                 .map(|loops| compile_cache::publish(ukey, loops)),
         };
         match fallback {
@@ -367,7 +320,7 @@ impl CompileService {
                     alive_tiles: umask.alive_count(),
                 })
             }
-            // rung 5: reject, with the informative (own-fabric) diagnosis
+            // rung 4: reject, with the informative (own-fabric) diagnosis
             Err(_) => Err(primary_err),
         }
     }
@@ -403,7 +356,7 @@ impl CompileService {
 
     /// The cache key for a degraded compile: the healthy key plus the exact
     /// fault set and fallback-fabric flag. On a universal-base engine the
-    /// healthy key already carries `universal: true`, and the rung-4
+    /// healthy key already carries `universal: true`, and the rung-3
     /// fallback fabric coincides with the engine's own — either way the key
     /// names the fabric the mapping was actually placed on.
     fn degraded_key(
@@ -448,7 +401,6 @@ impl CompileService {
         ops: &[NonlinearOp],
         spec: &CgraSpec,
         mask: &ResourceMask,
-        deadline: Option<Duration>,
     ) -> Result<Vec<Result<Vec<CompiledLoop>, PicachuError>>, PicachuError> {
         /// One viable `(op, loop, unroll)` candidate: a lowering with its
         /// prepared portfolio grid, one group of the flat pass.
@@ -491,7 +443,7 @@ impl CompileService {
                 for &uf in &config.unroll_candidates {
                     let dfg = self.lowered_dfg(config, op, i, uf, vf);
                     let seed = CompileService::loop_seed(config, i);
-                    let slot = match SearchGrid::prepare(&dfg, spec, mask, seed, deadline) {
+                    let slot = match SearchGrid::prepare(&dfg, spec, mask, seed, None) {
                         Ok(grid) => {
                             cands.push(Cand { op, label: l.label.clone(), dfg, grid });
                             Slot::Viable(cands.len() - 1)
@@ -596,10 +548,8 @@ impl CompileService {
         op: NonlinearOp,
         spec: &CgraSpec,
         mask: &ResourceMask,
-        deadline: Option<Duration>,
     ) -> Result<Vec<CompiledLoop>, PicachuError> {
-        let mut results =
-            self.compile_batch(config, std::slice::from_ref(&op), spec, mask, deadline)?;
+        let mut results = self.compile_batch(config, std::slice::from_ref(&op), spec, mask)?;
         match results.pop() {
             Some(r) => r,
             None => Err(PicachuError::Compile {
@@ -695,7 +645,7 @@ mod tests {
         let serial = cold.try_compile_op(&config, NonlinearOp::Softmax).expect("compiles");
         let warmed = warm.loops(NonlinearOp::Softmax);
         assert_eq!(serial.len(), warmed.len());
-        for (a, b) in serial.iter().zip(warmed) {
+        for (a, b) in serial.iter().zip(warmed.iter()) {
             assert_eq!(a.mapping.ii, b.mapping.ii, "{}: warm must equal serial", a.label);
             assert_eq!((a.uf, a.vf), (b.uf, b.vf));
         }
@@ -752,6 +702,24 @@ mod tests {
             assert_eq!(again.loops.len(), dc.loops.len());
         }
         assert!(repaired_any, "no op took the incremental rung");
+    }
+
+    #[test]
+    fn degraded_compile_ignores_what_was_compiled_before() {
+        // a seed unique to this test: no other engine in the process has
+        // compiled its healthy kernels, so the first call below is unprimed
+        let config = EngineConfig { seed: 0x12C0_0003, ..EngineConfig::default() };
+        let spec = CgraSpec::picachu(config.cgra_rows, config.cgra_cols);
+        let (op, plan) = (NonlinearOp::Softmax, picachu_faults::FaultPlan::dead_tile(5));
+        let unprimed = CompileService::new(spec.clone())
+            .compile_op_degraded(&config, op, &plan)
+            .expect("unprimed degraded compile");
+        let mut primed = CompileService::new(spec);
+        primed.try_compile_op(&config, op).expect("healthy compile");
+        let primed = primed.compile_op_degraded(&config, op, &plan).expect("primed compile");
+        assert_eq!(unprimed.fallback, primed.fallback);
+        assert_eq!(unprimed.ii_inflation.to_bits(), primed.ii_inflation.to_bits());
+        assert_eq!(unprimed.loops, primed.loops);
     }
 
     #[test]

@@ -182,7 +182,8 @@ fn check_case(
     iters: u64,
 ) {
     let label = plan.to_string();
-    // prime the healthy baseline so II inflation is measured, not defaulted
+    // the ladder measures II inflation against the healthy compile; a
+    // healthy failure would silently default it to 1.0, so flag it here
     if let Err(e) = engine.try_compile_op(ctx.op) {
         report.check_exact("fault", ctx, &label, format!("healthy-compile: {e}"), 0, 1);
         return;

@@ -7,20 +7,18 @@
 //! and both the DSE sweep and the figure harnesses evaluate many independent
 //! design points / kernels.
 //!
-//! Three primitives cover every call site, the first two in a panicking and
-//! a fallible flavour:
+//! Three primitives cover every call site:
 //!
 //! * [`parallel_map`] / [`try_parallel_map`] — chunk-free dynamic work
-//!   sharing over an indexed item slice; results come back in input order,
-//!   so callers observe exactly the serial output regardless of thread
-//!   count.
-//! * [`parallel_find_first`] / [`try_parallel_find_first`] — a deterministic
-//!   *portfolio* search: run fallible tasks `0..n` concurrently and return
-//!   the success with the **lowest index**. Workers claim indices in
-//!   ascending order and skip any index above the best success found so far,
-//!   so the result is bit-identical to a serial first-success scan while
-//!   failures (the expensive part of a modulo-scheduling search) burn in
-//!   parallel.
+//!   sharing over an indexed item slice, in a panicking and a fallible
+//!   flavour; results come back in input order, so callers observe exactly
+//!   the serial output regardless of thread count.
+//! * [`try_parallel_find_first`] — a deterministic *portfolio* search: run
+//!   fallible tasks `0..n` concurrently and return the success with the
+//!   **lowest index**. Workers claim indices in ascending order and skip any
+//!   index above the best success found so far, so the result is
+//!   bit-identical to a serial first-success scan while failures (the
+//!   expensive part of a modulo-scheduling search) burn in parallel.
 //! * [`try_parallel_find_first_grouped`] — many portfolio searches sharing
 //!   **one flat work queue**: the compile service submits every
 //!   `(op × II × attempt)` cell of a batch compile as a single pass, so the
@@ -37,20 +35,24 @@
 //! the poisoned slot as a typed [`WorkerPanic`] whose `index` is exactly the
 //! index at which a serial scan would have panicked (the lowest panicking
 //! index not preceded by a success, for the portfolio search) — the error is
-//! as deterministic as the results. The panicking wrappers re-raise the
+//! as deterministic as the results. [`parallel_map`] re-raises the
 //! `WorkerPanic` as a panic for callers that treat a task panic as a bug.
 //!
 //! ## Thread-count policy
 //!
-//! The pool size is resolved per call as the first of:
+//! The pool size is resolved per call, on the calling thread, as the first
+//! of:
 //!
-//! 1. the programmatic override ([`set_thread_override`] — used by the
+//! 1. the calling thread's override ([`set_thread_override`] — used by the
 //!    determinism tests and the serial-vs-parallel benches);
 //! 2. the `PICACHU_THREADS` environment variable (parsed once per process);
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! Nested calls never oversubscribe: a `parallel_*` call made from inside a
-//! pool worker runs serially on that worker (the outer call already owns the
+//! The override is per thread: it sizes only the pools that the thread which
+//! set it starts, so tests running concurrently cannot change each other's
+//! pool width. Only the calling thread's value can matter, because nested
+//! calls never oversubscribe: a `parallel_*` call made from inside a pool
+//! worker runs serially on that worker (the outer call already owns the
 //! machine). Because every primitive is deterministic, the thread count —
 //! and therefore nesting depth — can never change any result, only timing.
 
@@ -72,8 +74,8 @@ use std::sync::{Mutex, OnceLock};
 /// size — and therefore wall-clock, though never results — drift between
 /// two halves of one experiment). In-process code that needs to vary the
 /// thread count uses [`set_thread_override`], which takes precedence over
-/// the environment and is what the determinism tests and the
-/// serial-vs-parallel benches drive.
+/// the environment on the thread that sets it and is what the determinism
+/// tests and the serial-vs-parallel benches drive.
 ///
 /// An invalid value (non-numeric, negative, or `0` — zero worker threads is
 /// not a meaningful pool) is *warned about once* and treated as unset, so a
@@ -95,26 +97,27 @@ fn env_threads() -> usize {
     })
 }
 
-/// Programmatic override; 0 = no override.
-static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
+    /// This thread's programmatic override; 0 = no override.
+    static OVERRIDE: Cell<usize> = const { Cell::new(0) };
     /// True inside a pool worker: nested parallel calls degrade to serial.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Forces every subsequent `parallel_*` call to use exactly `n` threads
-/// (`None` restores the env/hardware policy). Intended for determinism tests
-/// and serial-vs-parallel benchmarking; results never depend on this — only
-/// wall-clock does.
+/// Forces every subsequent `parallel_*` call **made from the calling
+/// thread** to use exactly `n` threads (`None` restores the env/hardware
+/// policy). Other threads keep their own setting. Intended for determinism
+/// tests and serial-vs-parallel benchmarking; results never depend on this
+/// — only wall-clock does.
 pub fn set_thread_override(n: Option<usize>) {
-    OVERRIDE.store(n.unwrap_or(0), Ordering::SeqCst);
+    OVERRIDE.with(|o| o.set(n.unwrap_or(0)));
 }
 
-/// The number of worker threads a `parallel_*` call issued right now would
-/// use (override → `PICACHU_THREADS` → hardware parallelism, min 1).
+/// The number of worker threads a `parallel_*` call issued right now from
+/// this thread would use (this thread's override → `PICACHU_THREADS` →
+/// hardware parallelism, min 1).
 pub fn num_threads() -> usize {
-    let o = OVERRIDE.load(Ordering::SeqCst);
+    let o = OVERRIDE.with(|o| o.get());
     if o > 0 {
         return o;
     }
@@ -466,30 +469,9 @@ where
     Ok(out)
 }
 
-/// [`try_parallel_find_first`] for callers that treat a task panic as a bug.
-///
-/// # Panics
-/// Re-raises a [`WorkerPanic`] when the lowest eventful index panicked.
-pub fn parallel_find_first<R, F>(n: usize, f: F) -> Option<(usize, R)>
-where
-    R: Send,
-    F: Fn(usize) -> Option<R> + Sync,
-{
-    match try_parallel_find_first(n, f) {
-        Ok(r) => r,
-        Err(wp) => panic!("{wp}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serialize tests that touch the global override.
-    fn override_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
 
     #[test]
     fn map_preserves_order() {
@@ -503,7 +485,6 @@ mod tests {
 
     #[test]
     fn map_matches_serial_at_any_thread_count() {
-        let _g = override_lock();
         let items: Vec<u64> = (0..257).collect();
         let run = |threads: usize| {
             set_thread_override(Some(threads));
@@ -519,11 +500,10 @@ mod tests {
 
     #[test]
     fn find_first_returns_lowest_success() {
-        let _g = override_lock();
         // successes at 7, 13, 40: the winner must always be 7
         for t in [1usize, 2, 4, 8] {
             set_thread_override(Some(t));
-            let got = parallel_find_first(64, |i| {
+            let got = try_parallel_find_first(64, |i| {
                 if i == 7 || i == 13 || i == 40 {
                     Some(i * 10)
                 } else {
@@ -531,19 +511,18 @@ mod tests {
                 }
             });
             set_thread_override(None);
-            assert_eq!(got, Some((7, 70)), "{t} threads");
+            assert_eq!(got, Ok(Some((7, 70))), "{t} threads");
         }
     }
 
     #[test]
     fn find_first_none_when_all_fail() {
-        assert_eq!(parallel_find_first(32, |_| None::<u32>), None);
-        assert_eq!(parallel_find_first(0, |_| Some(1u32)), None);
+        assert_eq!(try_parallel_find_first(32, |_| None::<u32>), Ok(None));
+        assert_eq!(try_parallel_find_first(0, |_| Some(1u32)), Ok(None));
     }
 
     #[test]
     fn nested_calls_run_serially() {
-        let _g = override_lock();
         set_thread_override(Some(4));
         let items: Vec<usize> = (0..8).collect();
         let out = parallel_map(&items, |_, &x| {
@@ -558,11 +537,20 @@ mod tests {
 
     #[test]
     fn override_wins_over_env() {
-        let _g = override_lock();
         set_thread_override(Some(3));
         assert_eq!(num_threads(), 3);
         set_thread_override(None);
         assert!(num_threads() >= 1);
+    }
+
+    #[test]
+    fn override_is_per_thread() {
+        let base = num_threads();
+        set_thread_override(Some(base + 5));
+        let other = std::thread::spawn(num_threads).join().expect("probe thread");
+        assert_eq!(num_threads(), base + 5);
+        set_thread_override(None);
+        assert_eq!(other, base, "another thread's override leaked");
     }
 
     #[test]
@@ -574,7 +562,6 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
-        let _g = override_lock();
         set_thread_override(Some(2));
         let r = std::panic::catch_unwind(|| {
             parallel_map(&[1, 2, 3, 4], |_, &x| {
@@ -590,7 +577,6 @@ mod tests {
 
     #[test]
     fn try_map_reports_lowest_panicking_index() {
-        let _g = override_lock();
         for t in [1usize, 2, 4, 8] {
             set_thread_override(Some(t));
             let items: Vec<u32> = (0..64).collect();
@@ -616,7 +602,6 @@ mod tests {
 
     #[test]
     fn try_find_first_success_below_panic_wins() {
-        let _g = override_lock();
         for t in [1usize, 2, 4, 8] {
             set_thread_override(Some(t));
             let r = try_parallel_find_first(64, |i| {
@@ -632,7 +617,6 @@ mod tests {
 
     #[test]
     fn try_find_first_panic_below_success_is_err() {
-        let _g = override_lock();
         for t in [1usize, 2, 4, 8] {
             set_thread_override(Some(t));
             let r = try_parallel_find_first(64, |i| {
@@ -654,7 +638,6 @@ mod tests {
 
     #[test]
     fn grouped_returns_lowest_success_per_group() {
-        let _g = override_lock();
         // group 0: successes at 7 and 13; group 1: none; group 2: at 0;
         // group 3: empty
         for t in [1usize, 2, 4, 8] {
@@ -675,7 +658,6 @@ mod tests {
 
     #[test]
     fn grouped_matches_independent_searches_at_any_thread_count() {
-        let _g = override_lock();
         // a dense pseudo-random success pattern over 20 uneven groups: the
         // grouped pass must agree with 20 serial find_first scans
         let sizes: Vec<usize> = (0..20).map(|g| 3 + (g * 7) % 40).collect();
@@ -702,7 +684,6 @@ mod tests {
 
     #[test]
     fn grouped_panic_reports_lowest_group_flat_index() {
-        let _g = override_lock();
         // group 1 panics at cell 2 before its first success at cell 9;
         // group 0 resolves cleanly — the Err must point at group 1, and the
         // reported index is flat (offset 10 + 2).
@@ -722,7 +703,6 @@ mod tests {
 
     #[test]
     fn grouped_success_below_panic_is_ok() {
-        let _g = override_lock();
         for t in [1usize, 4] {
             set_thread_override(Some(t));
             let r = try_parallel_find_first_grouped(&[32], |_, i| {
@@ -747,7 +727,6 @@ mod tests {
 
     #[test]
     fn grouped_runs_serially_inside_a_worker() {
-        let _g = override_lock();
         set_thread_override(Some(4));
         let out = parallel_map(&[10usize, 20], |_, &base| {
             // nested grouped call: must degrade to the serial path, not
@@ -768,7 +747,6 @@ mod tests {
     /// so the advisory cutoff read is stale as often as possible.
     #[test]
     fn grouped_stress_lowest_index_wins_under_contention() {
-        let _g = override_lock();
         set_thread_override(Some(16));
         for round in 0..25u64 {
             // successes at `w`, `w+1`, `w+2` for a round-dependent winner w
@@ -790,7 +768,6 @@ mod tests {
     fn pool_survives_panicking_batch() {
         // After a poisoned batch, the pool primitives must still work — no
         // global state is left behind by a worker panic.
-        let _g = override_lock();
         set_thread_override(Some(4));
         let _ = try_parallel_map(&[1u8, 2, 3], |_, _| panic!("all poison"));
         let ok = try_parallel_map(&[1u8, 2, 3], |_, &x| x * 2);

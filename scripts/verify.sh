@@ -18,6 +18,16 @@ cargo clippy --all-targets --offline -- -D warnings
 echo "== test (workspace, offline) =="
 cargo test -q --offline
 
+echo "== determinism soak (the determinism binary, 5 runs in a row) =="
+# Outputs are a pure function of config, seed and fault plan, never of what
+# else ran in the same process, so the determinism binary must pass every
+# run at default test parallelism; a process-state race shows up here as an
+# intermittent failure. Stops at the first failing run.
+for run in 1 2 3 4 5; do
+  echo "determinism run $run/5"
+  cargo test -q --offline --test determinism
+done
+
 echo "== backend parity (Accelerator contract across all six devices) =="
 cargo test -q -p picachu --test backends --offline
 

@@ -205,6 +205,19 @@ fn picachu_cold_hint_does_not_touch_the_compile_cache() {
 }
 
 #[test]
+fn picachu_hint_ignores_other_engines_compiles() {
+    // a config no other test uses: the fresh engine's hint must not change
+    // when a *different* engine with the same config compiles the trace's
+    // kernels into the process-wide cache
+    let cfg = EngineConfig { seed: 0xE571_0001, ..EngineConfig::default() };
+    let trace = prefill();
+    let fresh = PicachuEngine::new(cfg.clone());
+    let before = fresh.estimate_trace(&trace);
+    PicachuEngine::new(cfg).execute_trace(&trace);
+    assert_eq!(fresh.estimate_trace(&trace).to_bits(), before.to_bits());
+}
+
+#[test]
 fn relative_ordering_matches_the_paper() {
     // end-to-end on one LLaMA prefill trace through the unified harness:
     // PICACHU beats the CPU offload, Gemmini (whose scalar core owns

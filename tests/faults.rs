@@ -1,6 +1,5 @@
 //! Engine-level fault scenarios: the degradation ladder, faulted trace
-//! execution, DMA stall accounting, mapper deadlines, and worker-panic
-//! isolation — exercised end-to-end through the public `picachu` API.
+//! execution, DMA stall accounting and worker-panic isolation — exercised end-to-end through the public `picachu` API.
 //!
 //! The exhaustive per-fault oracle identities live in `picachu-oracle`
 //! (`PICACHU_FAULT_SMOKE=1 cargo test -p picachu-oracle --test faults`);
@@ -16,8 +15,10 @@ use picachu_runtime::{try_parallel_find_first, try_parallel_map};
 #[test]
 fn every_paper_kernel_survives_a_dead_pe_and_a_dead_link() {
     // One central dead PE and one central dead link, every paper kernel:
-    // the degradation ladder must re-map (never reject) and the faulted
-    // trace must execute with finite, positive-where-expected costs.
+    // the degradation ladder must re-map on the engine's own fabric, by
+    // repair or in full (never reject, never fall back to the universal
+    // fabric), and the faulted trace must execute with finite,
+    // positive-where-expected costs.
     for plan in [FaultPlan::dead_tile(5), FaultPlan::dead_link(5, 6)] {
         let mut e = PicachuEngine::new(EngineConfig::default());
         for op in NonlinearOp::ALL {
@@ -25,7 +26,7 @@ fn every_paper_kernel_survives_a_dead_pe_and_a_dead_link() {
                 .compile_op_degraded(op, &plan)
                 .unwrap_or_else(|err| panic!("{op:?} under {plan}: {err}"));
             assert!(
-                matches!(d.fallback, FallbackLevel::Remapped),
+                matches!(d.fallback, FallbackLevel::Remapped | FallbackLevel::Incremental),
                 "{op:?} under {plan}: a single fault must re-map, got {}",
                 d.fallback
             );
@@ -109,24 +110,6 @@ fn hopeless_dma_channel_is_a_typed_rejection() {
         )
         .expect_err("a channel that always stalls must exhaust its retries");
     assert!(matches!(err, PicachuError::Dma(_)), "got {err}");
-}
-
-#[test]
-fn zero_deadline_on_a_cold_engine_rejects_typed() {
-    // A 0 ms budget with nothing cached times out on every rung (own spec,
-    // then the universal fallback fabric) and surfaces the mapper's typed
-    // error — the process must never abort on a pathological deadline.
-    let plan = FaultPlan::dead_tile(3);
-    let mut e = PicachuEngine::new(EngineConfig {
-        compile_deadline_ms: Some(0),
-        seed: 0xC01D_DEAD, // unique seed => cold process cache
-        ..EngineConfig::default()
-    });
-    match e.compile_op_degraded(NonlinearOp::Silu, &plan) {
-        Err(PicachuError::Compile { op, .. }) => assert_eq!(op, NonlinearOp::Silu),
-        Ok(d) => panic!("0 ms deadline on a cold cache compiled via {}", d.fallback),
-        Err(other) => panic!("wrong error class: {other}"),
-    }
 }
 
 #[test]
