@@ -439,6 +439,13 @@ impl SearchGrid {
         (II_SLACK as usize + 1) * ATTEMPTS_PER_II
     }
 
+    /// The II cell `idx` tries: `MII + idx / ATTEMPTS_PER_II`. Non-decreasing
+    /// in `idx`, so a caller can rule out every cell at or past an II it
+    /// already knows cannot win without evaluating any of them.
+    pub fn cell_ii(&self, idx: usize) -> u32 {
+        self.mii + (idx / ATTEMPTS_PER_II) as u32
+    }
+
     /// Evaluates one cell: derives the cell's own RNG stream and runs one
     /// placement attempt on the engine the mode selects (the annealed engine
     /// includes its Route-pass acceptance gate). Returns the
@@ -462,7 +469,7 @@ impl SearchGrid {
             }
         }
         self.cells_scanned.fetch_add(1, Ordering::Relaxed);
-        let ii = self.mii + (idx / ATTEMPTS_PER_II) as u32;
+        let ii = self.cell_ii(idx);
         let attempt = idx % ATTEMPTS_PER_II;
         let mut rng = TestRng::seed_from_u64(attempt_seed(self.seed, ii, attempt));
         let annealed = match self.mode {

@@ -251,7 +251,7 @@ pub struct SearchConfig {
 impl Default for SearchConfig {
     /// The full search space: eight geometries × four buffer sizes × both
     /// formats × both fabrics × both unroll portfolios × both repair
-    /// policies (1024 knob combinations), sampled by a 4-generation loop.
+    /// policies (512 knob combinations), sampled by a 4-generation loop.
     /// The 12×12 and 16×16 entries are served by the annealed
     /// Place→Route→Fold pipeline (`picachu-compiler`'s mapper switches
     /// engines above 64 tiles), so the search can weigh scale-up fabrics

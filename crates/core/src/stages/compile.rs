@@ -30,6 +30,7 @@ use picachu_ir::kernels as klib;
 use picachu_nonlinear::{LoopKind, NonlinearOp};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How far down the degradation ladder a faulted compile had to go.
@@ -381,13 +382,32 @@ impl CompileService {
     /// `mask` — exactly the serial per-op semantics, but with the **entire**
     /// `(op × loop × unroll × II × attempt)` portfolio submitted as one flat
     /// [`try_parallel_find_first_grouped`](picachu_runtime) pass. One group
-    /// per `(op, loop, unroll)` candidate; each group independently keeps
-    /// its lowest-index (= lowest-II, earliest-attempt) success and
-    /// early-kills the rest of its cells, so the result is bit-identical to
-    /// the serial scan at any thread count. Because the structure is flat —
-    /// no `parallel_map` over ops wrapping a `find_first` over cells — the
-    /// modulo-scheduling search parallelizes even on the cold path, which
-    /// the old nested shape silently serialized.
+    /// per `(op, loop, unroll)` candidate; each group keeps its lowest-index
+    /// (= lowest-II, earliest-attempt) success and early-kills the rest of
+    /// its cells. Because the structure is flat — no `parallel_map` over ops
+    /// wrapping a `find_first` over cells — the modulo-scheduling search
+    /// parallelizes even on the cold path.
+    ///
+    /// **Per-loop bound.** Each kernel loop keeps one atomic holding the best
+    /// success any of its groups has found so far, as (II, candidate) in the
+    /// assembly's own order ([`precedes`]: exact per-element II, earlier
+    /// unroll factor on a tie). Before a cell is evaluated, its II
+    /// ([`SearchGrid::cell_ii`]) is checked against that bound: if a
+    /// *different* group's success precedes it, the cell returns `None`
+    /// without running Place. This is exact. A skipped cell is dominated by a
+    /// found success, and the loop's final winner is at least as good as that
+    /// success, so a skipped cell is never the winner's lowest-index success;
+    /// the winning group's cells up to its first success are therefore never
+    /// skipped and it resolves exactly as in a serial scan. A group whose
+    /// cells are skipped resolves to an `Err` or a later success, and it
+    /// would have lost the comparison anyway. A loop where nothing maps never
+    /// gets a bound, so nothing is skipped and the reported error is
+    /// unchanged. The selected mappings are bit-identical to the serial scan
+    /// at any thread count.
+    ///
+    /// Which dominated cells run before the bound reaches them depends on
+    /// timing. Only wall time depends on it, and whether a panic inside a
+    /// dominated cell surfaces as [`MapError::Worker`].
     ///
     /// Returns one `Result` per op, in `ops` order: per-op failures (no
     /// unroll candidate mapped some loop) are values, so one unmappable op
@@ -409,6 +429,9 @@ impl CompileService {
             label: String,
             dfg: Dfg,
             grid: SearchGrid,
+            /// The batch-wide index of the kernel loop it competes in.
+            loop_id: usize,
+            uf: usize,
         }
         /// Per-unroll outcome slot of one kernel loop, in candidate order.
         enum Slot {
@@ -427,6 +450,7 @@ impl CompileService {
         let mut cands: Vec<Cand> = Vec::new();
         // per op, per loop: the uf-ordered outcome slots
         let mut plan: Vec<Vec<LoopSlots>> = Vec::with_capacity(ops.len());
+        let mut loops = 0;
         for &op in ops {
             let kernel = kernel_for(op, config.taylor_terms);
             let mut op_loops = Vec::with_capacity(kernel.loops.len());
@@ -445,7 +469,8 @@ impl CompileService {
                     let seed = CompileService::loop_seed(config, i);
                     let slot = match SearchGrid::prepare(&dfg, spec, mask, seed, None) {
                         Ok(grid) => {
-                            cands.push(Cand { op, label: l.label.clone(), dfg, grid });
+                            let label = l.label.clone();
+                            cands.push(Cand { op, label, dfg, grid, loop_id: loops, uf });
                             Slot::Viable(cands.len() - 1)
                         }
                         Err(e) => Slot::Dead(e),
@@ -453,16 +478,25 @@ impl CompileService {
                     slots.push((uf, slot));
                 }
                 op_loops.push(LoopSlots { label: l.label.clone(), kind, slots });
+                loops += 1;
             }
             plan.push(op_loops);
         }
 
         // the flat pass: group g = candidate g, cell i = grid cell i
+        let bounds = LoopBounds::new(loops, cands.iter().map(|c| (c.loop_id, c.uf)).collect());
         let group_sizes: Vec<usize> = cands.iter().map(|c| c.grid.grid_len()).collect();
         let mut found =
             picachu_runtime::try_parallel_find_first_grouped(&group_sizes, |g, i| {
                 let c = &cands[g];
-                c.grid.eval(&c.dfg, spec, mask, i)
+                if bounds.skips(g, c.grid.cell_ii(i)) {
+                    return None;
+                }
+                let hit = c.grid.eval(&c.dfg, spec, mask, i);
+                if let Some((ii, _)) = &hit {
+                    bounds.offer(g, *ii);
+                }
+                hit
             })
             .map_err(|wp| {
                 // identify the candidate owning the panicking flat cell
@@ -483,15 +517,15 @@ impl CompileService {
             })?;
 
         // assemble per-op results, replicating the serial selection exactly:
-        // uf-order iteration, strict `<` on per-element II (earlier uf wins
-        // ties), last failing uf's error reported when nothing maps
+        // uf-order iteration, the `precedes` order (earlier uf wins ties),
+        // last failing uf's error reported when nothing maps
         let mut out = Vec::with_capacity(ops.len());
         for (&op, op_loops) in ops.iter().zip(plan) {
             let mut compiled: Result<Vec<CompiledLoop>, PicachuError> = Ok(Vec::new());
             for lc in op_loops {
-                let mut best: Option<CompiledLoop> = None;
+                let mut best: Option<(usize, CompiledLoop)> = None;
                 let mut last_err = MapError::EmptyDfg;
-                for (uf, slot) in lc.slots {
+                for (pos, (uf, slot)) in lc.slots.into_iter().enumerate() {
                     let mapped = match slot {
                         Slot::Viable(ci) => {
                             let c = &cands[ci];
@@ -501,28 +535,19 @@ impl CompileService {
                     };
                     match mapped {
                         Ok(mapping) => {
-                            let per_elem = mapping.ii as f64 / (uf * vf) as f64;
-                            let better = match &best {
-                                None => true,
-                                Some(b) => {
-                                    per_elem
-                                        < b.mapping.ii as f64 / b.elements_per_ii() as f64
-                                }
-                            };
+                            let better = best.as_ref().is_none_or(|(b_pos, b)| {
+                                precedes((mapping.ii, uf, pos), (b.mapping.ii, b.uf, *b_pos))
+                            });
                             if better {
-                                best = Some(CompiledLoop {
-                                    label: lc.label.clone(),
-                                    kind: lc.kind,
-                                    mapping,
-                                    uf,
-                                    vf,
-                                });
+                                let label = lc.label.clone();
+                                let kind = lc.kind;
+                                best = Some((pos, CompiledLoop { label, kind, mapping, uf, vf }));
                             }
                         }
                         Err(e) => last_err = e,
                     }
                 }
-                match best {
+                match best.map(|(_, b)| b) {
                     Some(b) => {
                         if let Ok(v) = &mut compiled {
                             v.push(b);
@@ -611,6 +636,74 @@ impl CompileService {
     }
 }
 
+/// The per-loop bound of one flat compile pass. For each kernel loop it
+/// holds the best success any of the loop's candidates has found so far,
+/// packed as `II << 32 | candidate` in one atomic (`NO_BOUND` before the
+/// first success). Candidates are indexed by their group in the pass, which
+/// lists a loop's candidates in unroll-portfolio order, so the index is also
+/// the candidate's position in the loop's selection order.
+///
+/// Every access is `Relaxed`: the packed value is the whole state, and a
+/// stale read only lets a dominated cell run, which costs time and never
+/// changes a result.
+struct LoopBounds {
+    /// `(loop, unroll factor)` of every candidate.
+    of: Vec<(usize, usize)>,
+    best: Vec<AtomicU64>,
+}
+
+/// A loop's bound before any of its candidates has succeeded.
+const NO_BOUND: u64 = u64::MAX;
+
+impl LoopBounds {
+    fn new(loops: usize, of: Vec<(usize, usize)>) -> LoopBounds {
+        LoopBounds { of, best: (0..loops).map(|_| AtomicU64::new(NO_BOUND)).collect() }
+    }
+
+    /// Candidate `g` at II `ii`, as a [`precedes`] key.
+    fn key(&self, (ii, g): (u32, usize)) -> (u32, usize, usize) {
+        (ii, self.of[g].1, g)
+    }
+
+    /// Decodes a packed bound into `(II, candidate)`.
+    fn unpack(packed: u64) -> Option<(u32, usize)> {
+        (packed != NO_BOUND).then_some(((packed >> 32) as u32, (packed & 0xFFFF_FFFF) as usize))
+    }
+
+    /// Whether a cell of candidate `g` at II `ii` cannot be its loop's
+    /// winner: a *different* candidate's success precedes it. A candidate is
+    /// never skipped against its own success; its lowest-index cutoff already
+    /// orders its cells.
+    fn skips(&self, g: usize, ii: u32) -> bool {
+        let best = LoopBounds::unpack(self.best[self.of[g].0].load(Ordering::Relaxed));
+        best.is_some_and(|b| b.1 != g && precedes(self.key(b), self.key((ii, g))))
+    }
+
+    /// Records a success of candidate `g` at II `ii`, raising its loop's
+    /// bound when the success precedes the current best (a CAS loop).
+    fn offer(&self, g: usize, ii: u32) {
+        let bound = &self.best[self.of[g].0];
+        let _ = bound.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+            let beats = LoopBounds::unpack(cur)
+                .is_none_or(|b| precedes(self.key((ii, g)), self.key(b)));
+            beats.then_some(u64::from(ii) << 32 | g as u64)
+        });
+    }
+}
+
+/// Whether unroll candidate `a` = `(ii, uf, position)` comes before `b` in a
+/// loop's selection order: strictly lower per-element II `ii / (uf·vf)`,
+/// compared exactly by cross-multiplication (the vector factor is common to a
+/// loop's candidates and cancels), then the earlier position (the earlier
+/// unroll factor) on a tie.
+fn precedes(
+    (a_ii, a_uf, a_pos): (u32, usize, usize),
+    (b_ii, b_uf, b_pos): (u32, usize, usize),
+) -> bool {
+    let (a, b) = (u64::from(a_ii) * b_uf as u64, u64::from(b_ii) * a_uf as u64);
+    a < b || (a == b && a_pos < b_pos)
+}
+
 /// Maps an operation to its kernel (public so the differential oracle can
 /// interpret the same loop bodies the engine compiles).
 pub fn kernel_for(op: NonlinearOp, terms: usize) -> klib::Kernel {
@@ -651,6 +744,135 @@ mod tests {
         }
         // second warm is a no-op
         warm.warm(&config, &[NonlinearOp::Softmax]).expect("idempotent");
+    }
+
+    /// The selection without the per-loop bound: every `(loop, uf)`
+    /// candidate's grid scanned serially to its first success and resolved,
+    /// then the strictly lowest per-element II wins (the earlier uf on a
+    /// tie); the last failing uf's error when nothing maps.
+    fn compile_unbounded(
+        svc: &CompileService,
+        config: &EngineConfig,
+        op: NonlinearOp,
+        spec: &CgraSpec,
+        mask: &ResourceMask,
+    ) -> Result<Vec<CompiledLoop>, PicachuError> {
+        let vf = config.format.vector_factor();
+        let mut out = Vec::new();
+        for (i, l) in kernel_for(op, config.taylor_terms).loops.iter().enumerate() {
+            let kind = match l.class {
+                klib::LoopClass::Reduction => LoopKind::Reduction,
+                klib::LoopClass::ElementWise => LoopKind::ElementWise,
+            };
+            let (mut best, mut last_err): (Option<CompiledLoop>, _) = (None, MapError::EmptyDfg);
+            for &uf in &config.unroll_candidates {
+                let dfg = svc.lowered_dfg(config, op, i, uf, vf);
+                let seed = CompileService::loop_seed(config, i);
+                let mapped = SearchGrid::prepare(&dfg, spec, mask, seed, None).and_then(|grid| {
+                    let found = (0..grid.grid_len())
+                        .find_map(|idx| grid.eval(&dfg, spec, mask, idx).map(|hit| (idx, hit)));
+                    grid.resolve(&dfg, spec, mask, found)
+                });
+                match mapped {
+                    Ok(mapping) => {
+                        let per_elem = mapping.ii as f64 / (uf * vf) as f64;
+                        if best.as_ref().is_none_or(|b| {
+                            per_elem < b.mapping.ii as f64 / b.elements_per_ii() as f64
+                        }) {
+                            let label = l.label.clone();
+                            best = Some(CompiledLoop { label, kind, mapping, uf, vf });
+                        }
+                    }
+                    Err(e) => last_err = e,
+                }
+            }
+            let label = l.label.clone();
+            out.push(best.ok_or(PicachuError::Compile { op, label, source: last_err })?);
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn loop_bound_selects_what_the_unbounded_scan_selects() {
+        let het = |cgra_rows, cgra_cols| EngineConfig {
+            cgra_rows,
+            cgra_cols,
+            ..EngineConfig::default()
+        };
+        let int16 = EngineConfig { format: picachu_num::DataFormat::Int16, ..het(4, 4) };
+        let uni = EngineConfig { fabric: FabricKind::Universal, ..het(4, 4) };
+        let dead_tile = FaultPlan::dead_tile(5);
+        let dead_mix = FaultPlan::dead_link(0, 1).with_dead_tile(8);
+        // (config, fabric, faults); the homogeneous baseline has no fused
+        // units, so nothing maps there and the errors must match instead
+        let cases = [
+            (het(4, 4), CgraSpec::picachu(4, 4), FaultPlan::none()),
+            (int16, CgraSpec::picachu(4, 4), FaultPlan::none()),
+            (uni, CgraSpec::universal(4, 4), FaultPlan::none()),
+            (het(8, 8), CgraSpec::picachu(8, 8), FaultPlan::none()),
+            (het(3, 3), CgraSpec::picachu(3, 3), dead_tile),
+            (het(3, 3), CgraSpec::picachu(3, 3), dead_mix),
+            (het(4, 4), CgraSpec::homogeneous(4, 4), FaultPlan::none()),
+        ];
+        let mut mapped = 0;
+        for (config, spec, plan) in cases {
+            let mask = ResourceMask::degraded(
+                &spec,
+                plan.dead_tiles.iter().copied(),
+                plan.dead_links.iter().copied(),
+            );
+            let svc = CompileService::new(spec.clone());
+            let reference: Vec<_> = NonlinearOp::ALL
+                .iter()
+                .map(|&op| compile_unbounded(&svc, &config, op, &spec, &mask))
+                .collect();
+            mapped += reference.iter().filter(|r| r.is_ok()).count();
+            for threads in [1, 2] {
+                picachu_runtime::set_thread_override(Some(threads));
+                let batch = svc.compile_batch(&config, &NonlinearOp::ALL, &spec, &mask);
+                picachu_runtime::set_thread_override(None);
+                let batch = batch.expect("no search worker panics");
+                for ((op, want), got) in NonlinearOp::ALL.iter().zip(&reference).zip(&batch) {
+                    assert_eq!(
+                        got, want,
+                        "{op:?} on {}x{} {:?} at {threads} threads",
+                        spec.rows, spec.cols, config.format
+                    );
+                }
+            }
+        }
+        // the homogeneous case is the only one where nothing maps
+        assert!(mapped >= 5 * NonlinearOp::ALL.len(), "only {mapped} ops mapped");
+    }
+
+    #[test]
+    fn precedes_orders_by_exact_per_element_ii_then_position() {
+        // 3/2 < 2/1, in both directions
+        assert!(precedes((3, 2, 1), (2, 1, 0)));
+        assert!(!precedes((2, 1, 0), (3, 2, 1)));
+        // 4/4 == 2/2: the earlier position wins, never the later one
+        assert!(precedes((2, 2, 1), (4, 4, 2)));
+        assert!(!precedes((4, 4, 2), (2, 2, 1)));
+        assert!(!precedes((2, 2, 1), (2, 2, 1)));
+    }
+
+    #[test]
+    fn loop_bound_skips_only_cells_another_candidate_beats() {
+        // loop 0 has candidates uf 1, 2, 4 (groups 0–2); loop 1 has uf 1
+        let b = LoopBounds::new(2, vec![(0, 1), (0, 2), (0, 4), (1, 1)]);
+        assert!(!b.skips(2, 40), "no success yet, no bound");
+        b.offer(1, 4); // uf 2 maps at II 4: 2 cycles per element
+        assert!(!b.skips(1, 9), "never skipped against its own success");
+        assert!(!b.skips(0, 2), "uf 1 at II 2 ties and comes earlier");
+        assert!(b.skips(0, 3));
+        assert!(b.skips(2, 8), "uf 4 at II 8 ties but comes later");
+        assert!(!b.skips(2, 7));
+        assert!(!b.skips(3, 40), "another loop's bound is separate");
+        b.offer(2, 9); // worse than the bound: ignored
+        assert!(b.skips(2, 8));
+        b.offer(0, 2); // ties and comes earlier: raises the bound
+        assert!(b.skips(1, 4));
+        assert!(!b.skips(0, 3), "uf 1 now holds the bound itself");
     }
 
     #[test]

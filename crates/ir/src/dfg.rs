@@ -171,50 +171,115 @@ impl Dfg {
     /// The recurrence-constrained minimum initiation interval:
     /// `RecMII = max over cycles ⌈Σ latency / Σ distance⌉`.
     ///
-    /// Computed by the standard iterative algorithm: binary search over II is
-    /// unnecessary at these graph sizes, so we use Floyd–Warshall on the
-    /// constraint graph (longest path with latency weights minus `II·distance`
-    /// must admit no positive cycle). Returns 1 for acyclic graphs.
+    /// An II is feasible when the constraint graph (edge weight `latency of
+    /// the producer − II·distance`) has no positive cycle. Every cycle lies
+    /// inside one strongly connected component, so only the components that
+    /// contain a cycle — the recurrences, a few nodes each even in unrolled
+    /// loops — get a Floyd–Warshall longest-path check. Feasibility is
+    /// monotone in II (distances are non-negative, so every cycle's weight
+    /// falls as II grows), so the smallest feasible II is binary-searched in
+    /// `1..=4n+4`. Returns 1 for acyclic graphs and `4n + 4` when no II in
+    /// that range is feasible.
     pub fn rec_mii(&self) -> u32 {
-        let n = self.nodes.len();
-        if n == 0 {
+        let cap = self.nodes.len() as u32 * 4 + 4;
+        let recurrences = self.recurrences();
+        if recurrences.is_empty() {
             return 1;
         }
-        // Try increasing II until no positive-weight cycle exists.
-        'outer: for ii in 1..=(n as u32 * 4 + 4) {
-            // dist[i][j] = max over paths of (sum latency - ii*sum distance)
-            const NEG: i64 = i64::MIN / 4;
-            let mut d = vec![vec![NEG; n]; n];
-            for node in &self.nodes {
-                for e in &node.inputs {
-                    let w = self.nodes[e.from.0].op.latency() as i64
-                        - (ii as i64) * e.distance as i64;
-                    let cell = &mut d[e.from.0][node.id.0];
-                    *cell = (*cell).max(w);
-                }
-            }
-            for k in 0..n {
-                for i in 0..n {
-                    if d[i][k] == NEG {
-                        continue;
-                    }
-                    for j in 0..n {
-                        if d[k][j] == NEG {
-                            continue;
-                        }
-                        let via = d[i][k] + d[k][j];
-                        if via > d[i][j] {
-                            d[i][j] = via;
-                        }
-                    }
-                }
-            }
-            if (0..n).any(|i| d[i][i] > 0) {
-                continue 'outer;
-            }
-            return ii;
+        let feasible = |ii: u32| {
+            recurrences.iter().all(|(size, edges)| !has_positive_cycle(*size, edges, ii))
+        };
+        if !feasible(cap) {
+            return cap;
         }
-        n as u32 * 4 + 4
+        let (mut lo, mut hi) = (1, cap);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if feasible(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    /// The strongly connected components that contain a cycle (more than one
+    /// node, or a self-edge), each as its size and its internal edges
+    /// `(from, to, producer latency, distance)` over component-local node
+    /// indices. Tarjan's algorithm with an explicit call stack.
+    fn recurrences(&self) -> Vec<(usize, Vec<RecEdge>)> {
+        const UNSEEN: usize = usize::MAX;
+        let n = self.nodes.len();
+        let succ = self.successors();
+        let (mut index, mut low) = (vec![UNSEEN; n], vec![0; n]);
+        let mut on_stack = vec![false; n];
+        let (mut stack, mut call, mut comps) = (Vec::new(), Vec::new(), Vec::new());
+        let mut next = 0;
+        for root in 0..n {
+            if index[root] != UNSEEN {
+                continue;
+            }
+            call.push((root, 0));
+            while let Some(&(v, k)) = call.last() {
+                if k == 0 {
+                    index[v] = next;
+                    low[v] = next;
+                    next += 1;
+                    stack.push(v);
+                    on_stack[v] = true;
+                }
+                if let Some(&NodeId(w)) = succ[v].get(k) {
+                    let top = call.len() - 1;
+                    call[top].1 += 1;
+                    if index[w] == UNSEEN {
+                        call.push((w, 0));
+                    } else if on_stack[w] {
+                        low[v] = low[v].min(index[w]);
+                    }
+                    continue;
+                }
+                call.pop();
+                if let Some(&(u, _)) = call.last() {
+                    low[u] = low[u].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    let mut comp = Vec::new();
+                    while let Some(w) = stack.pop() {
+                        on_stack[w] = false;
+                        comp.push(w);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    comps.push(comp);
+                }
+            }
+        }
+        // component-local index of every node, then each component's edges
+        let mut local = vec![(0, 0); n];
+        for (c, comp) in comps.iter().enumerate() {
+            for (i, &v) in comp.iter().enumerate() {
+                local[v] = (c, i);
+            }
+        }
+        let mut edges: Vec<Vec<RecEdge>> = vec![Vec::new(); comps.len()];
+        for node in &self.nodes {
+            let (c, to) = local[node.id.0];
+            for e in &node.inputs {
+                let (cf, from) = local[e.from.0];
+                if cf == c {
+                    let lat = i64::from(self.nodes[e.from.0].op.latency());
+                    edges[c].push((from, to, lat, i64::from(e.distance)));
+                }
+            }
+        }
+        comps
+            .iter()
+            .zip(edges)
+            .filter(|(_, es)| !es.is_empty())
+            .map(|(comp, es)| (comp.len(), es))
+            .collect()
     }
 
     /// ASAP (as-soon-as-possible) schedule levels ignoring loop-carried
@@ -306,6 +371,41 @@ impl Dfg {
     }
 }
 
+/// One edge inside a recurrence: `(from, to, producer latency, distance)`
+/// over component-local node indices.
+type RecEdge = (usize, usize, i64, i64);
+
+/// Whether the recurrence of `size` nodes with `edges` has a cycle of
+/// positive weight `Σ latency − ii·Σ distance` (Floyd–Warshall longest paths:
+/// some `d[i][i] > 0` exactly when such a cycle exists). Stops at the first
+/// positive diagonal, before walks around it can grow the path weights.
+fn has_positive_cycle(size: usize, edges: &[RecEdge], ii: u32) -> bool {
+    const NEG: i64 = i64::MIN / 4;
+    let mut d = vec![NEG; size * size];
+    for &(from, to, lat, dist) in edges {
+        let cell = &mut d[from * size + to];
+        *cell = (*cell).max(lat - i64::from(ii) * dist);
+    }
+    for k in 0..size {
+        for i in 0..size {
+            let ik = d[i * size + k];
+            if ik == NEG {
+                continue;
+            }
+            for j in 0..size {
+                let kj = d[k * size + j];
+                if kj != NEG && ik + kj > d[i * size + j] {
+                    d[i * size + j] = ik + kj;
+                }
+            }
+        }
+        if (0..size).any(|i| d[i * size + i] > 0) {
+            return true;
+        }
+    }
+    false
+}
+
 impl fmt::Display for Dfg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "dfg '{}' ({} nodes):", self.name, self.nodes.len())?;
@@ -379,6 +479,23 @@ mod tests {
         ns[acc.0].inputs.push(carried(acc));
         g.replace_nodes(ns);
         assert_eq!(g.rec_mii(), 1);
+    }
+
+    #[test]
+    fn slowest_of_several_recurrences_sets_recmii() {
+        // phi -> add (RecMII 2) beside phi -> div (1 + 4 over distance 1)
+        // and a distance-2 phi -> mul -> mul ring (3 over 2 rounds up to 2)
+        let mut g = accum_dfg();
+        let p2 = g.push(Opcode::Phi, vec![]);
+        let div = g.push(Opcode::Div, vec![edge(p2)]);
+        g.add_loop_edge(p2, div, 1);
+        let p3 = g.push(Opcode::Phi, vec![]);
+        let m1 = g.push(Opcode::Mul, vec![edge(p3)]);
+        let m2 = g.push(Opcode::Mul, vec![edge(m1)]);
+        g.add_loop_edge(p3, m2, 2);
+        assert!(g.validate().is_ok());
+        assert_eq!(g.rec_mii(), 5);
+        assert_eq!(g.recurrences().len(), 3);
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! simulator's dynamic checks. This explores compilation space far beyond
 //! the nine library kernels.
 
+use picachu::engine::{kernel_for, EngineConfig, PicachuEngine};
 use picachu_cgra::{CgraConfig, CgraSimulator};
 use picachu_compiler::arch::CgraSpec;
 use picachu_compiler::mapper::{map_dfg, min_ii};
 use picachu_compiler::transform::fuse_patterns;
 use picachu_ir::{Dfg, DfgBuilder, NodeId, Opcode};
+use picachu_nonlinear::NonlinearOp;
 use picachu_testkit::prop::{check_result, replay, PropError};
 use picachu_testkit::TestRng;
 
@@ -160,4 +162,76 @@ fn failing_prop_seed_replays_to_same_failure() {
         ),
         other => panic!("replay did not fail: {other:?}"),
     }
+}
+
+/// The original `Dfg::rec_mii`: a fresh whole-graph Floyd–Warshall for every
+/// II from 1 upward, capped at `4n + 4`. Kept as the reference the
+/// SCC-restricted binary search must reproduce exactly.
+fn rec_mii_reference(dfg: &Dfg) -> u32 {
+    let n = dfg.len();
+    if n == 0 {
+        return 1;
+    }
+    const NEG: i64 = i64::MIN / 4;
+    for ii in 1..=(n as u32 * 4 + 4) {
+        let mut d = vec![vec![NEG; n]; n];
+        for node in dfg.nodes() {
+            for e in &node.inputs {
+                let w = dfg.nodes()[e.from.0].op.latency() as i64 - ii as i64 * e.distance as i64;
+                let cell = &mut d[e.from.0][node.id.0];
+                *cell = (*cell).max(w);
+            }
+        }
+        for k in 0..n {
+            for i in 0..n {
+                if d[i][k] == NEG {
+                    continue;
+                }
+                for j in 0..n {
+                    if d[k][j] != NEG && d[i][k] + d[k][j] > d[i][j] {
+                        d[i][j] = d[i][k] + d[k][j];
+                    }
+                }
+            }
+        }
+        if (0..n).all(|i| d[i][i] <= 0) {
+            return ii;
+        }
+    }
+    n as u32 * 4 + 4
+}
+
+#[test]
+fn rec_mii_matches_reference_on_random_loops() {
+    for seed in 0..64u64 {
+        let dfg = random_loop(seed);
+        let fused = fuse_patterns(&dfg);
+        assert_eq!(dfg.rec_mii(), rec_mii_reference(&dfg), "seed {seed}");
+        assert_eq!(fused.rec_mii(), rec_mii_reference(&fused), "seed {seed} fused");
+    }
+}
+
+#[test]
+fn rec_mii_matches_reference_on_every_lowered_kernel_loop() {
+    let engine = PicachuEngine::new(EngineConfig::default());
+    let config = EngineConfig::default();
+    let mut largest = 0;
+    for op in NonlinearOp::ALL {
+        for i in 0..kernel_for(op, config.taylor_terms).loops.len() {
+            for uf in [1, 2, 4, 8] {
+                for vf in [1, 4] {
+                    let dfg = engine.lowered_dfg(op, i, uf, vf);
+                    largest = largest.max(dfg.len());
+                    assert_eq!(
+                        dfg.rec_mii(),
+                        rec_mii_reference(&dfg),
+                        "{} loop {i} uf {uf} vf {vf}",
+                        op.name()
+                    );
+                }
+            }
+        }
+    }
+    // the unrolled loops are the ones the old whole-graph search was slow on
+    assert!(largest >= 200, "largest lowered loop has only {largest} nodes");
 }
