@@ -650,8 +650,8 @@ pub fn repair_mapping(
     // Phase 0: the historical behavior — attempts at the surviving pinned
     // set, then generic ripple-widening rounds. Every case this phase could
     // ever repair yields the bit-identical mapping it always did (the
-    // attempt streams are unchanged), which keeps the process cache and the
-    // on-disk mapstore stable across this change.
+    // attempt streams are unchanged), which keeps compile-cache entries and
+    // the on-disk mapstore stable across this change.
     //
     // Phase 1 (only reached when phase 0 fails): start over with the
     // displaced region's *critical path* un-kept as well. At tight IIs —

@@ -23,8 +23,8 @@
 //! small seeded generational loop: a population containing the deployed
 //! default plus random samples, then mutations of the current Pareto
 //! frontier. Every generation evaluates in parallel on the
-//! [`picachu_runtime`] pool, and every engine consults the process-wide
-//! [`crate::compile_cache`], so candidates sharing a fabric/format share
+//! [`picachu_runtime`] pool, and every engine of one search shares that
+//! search's [`CompileCache`], so candidates sharing a fabric/format share
 //! kernel compilations. The result is deterministic in
 //! ([`SearchConfig::seed`], model) and independent of the thread count.
 //!
@@ -33,6 +33,7 @@
 //! corrupt the sort or make the frontier thread-dependent; exact objective
 //! ties are deduplicated (the frontier is a set of distinct trade-offs).
 
+use crate::compile_cache::CompileCache;
 use crate::engine::{EngineConfig, FabricKind, PicachuEngine};
 use picachu_backend::Accelerator;
 use picachu_faults::FaultPlan;
@@ -43,6 +44,7 @@ use picachu_testkit::TestRng;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Number of scored objectives (latency, energy, area, resilience).
 pub const OBJECTIVES: usize = 4;
@@ -315,14 +317,15 @@ pub struct SearchResult {
 /// per mutation) and tops up with fresh random samples. Candidates are
 /// deduplicated across the whole run, evaluated in parallel on the
 /// [`picachu_runtime`] pool (thread count from `PICACHU_THREADS` or the
-/// hardware), and share kernel compilations through the process-wide
-/// [`crate::compile_cache`]. Deterministic in `(model, cfg)`: the sampler
+/// hardware), and share kernel compilations through one [`CompileCache`]
+/// made for this call. Deterministic in `(model, cfg)`: the sampler
 /// is a seeded [`TestRng`], the pool returns results in submission order,
 /// and every comparison runs under [`f64::total_cmp`].
 ///
 /// Candidates whose kernels fail to map (a degenerate geometry) are dropped
 /// from the archive rather than scored.
 pub fn search(model: &ModelConfig, cfg: &SearchConfig) -> SearchResult {
+    let cache = Arc::new(CompileCache::new());
     let mut rng = TestRng::seed_from_u64(cfg.seed);
     let mut seen: HashSet<DesignKnobs> = HashSet::new();
     let mut evaluated: Vec<DesignPoint> = Vec::new();
@@ -334,8 +337,9 @@ pub fn search(model: &ModelConfig, cfg: &SearchConfig) -> SearchResult {
     for g in 0..cfg.generations.max(1) {
         generation.retain(|k| seen.insert(*k));
         if !generation.is_empty() {
-            let scored =
-                picachu_runtime::parallel_map(&generation, |_, k| evaluate(model, cfg, *k));
+            let scored = picachu_runtime::parallel_map(&generation, |_, k| {
+                evaluate(model, cfg, &cache, *k)
+            });
             evaluated.extend(scored.into_iter().flatten());
         }
         if g + 1 == cfg.generations.max(1) {
@@ -424,8 +428,13 @@ fn mutate(mut k: DesignKnobs, rng: &mut TestRng, cfg: &SearchConfig) -> DesignKn
 
 /// Scores one candidate on all four objectives, or `None` when its kernels
 /// fail to map.
-fn evaluate(model: &ModelConfig, cfg: &SearchConfig, knobs: DesignKnobs) -> Option<DesignPoint> {
-    let mut engine = PicachuEngine::new(knobs.engine_config());
+fn evaluate(
+    model: &ModelConfig,
+    cfg: &SearchConfig,
+    cache: &Arc<CompileCache>,
+    knobs: DesignKnobs,
+) -> Option<DesignPoint> {
+    let mut engine = PicachuEngine::with_cache(knobs.engine_config(), cache.clone());
     let ops = model.nonlinear_ops();
     // grouped flat compile batch (parallel when threads are free; inside a
     // pool worker it degrades to serial, still deterministic)

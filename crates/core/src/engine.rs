@@ -10,6 +10,7 @@
 //! historical single-object API, and implements the workspace-wide
 //! [`Accelerator`] backend contract the comparison harness drives.
 
+use crate::compile_cache::CompileCache;
 use crate::error::PicachuError;
 use crate::stages::{Accountant, CompileService, Dispatcher};
 use picachu_backend::{Accelerator, Breakdown, CompileHint, ExecutionReport};
@@ -133,9 +134,16 @@ pub struct PicachuEngine {
 }
 
 impl PicachuEngine {
-    /// Builds an engine (the CGRA and substrate models come up immediately;
-    /// kernels are compiled lazily on first use).
+    /// Builds an engine with a private compile cache (the CGRA and
+    /// substrate models come up immediately; kernels are compiled lazily on
+    /// first use).
     pub fn new(config: EngineConfig) -> PicachuEngine {
+        PicachuEngine::with_cache(config, Arc::new(CompileCache::new()))
+    }
+
+    /// Builds an engine compiling through `cache`, shared with every engine
+    /// on the same handle: the outputs of [`PicachuEngine::new`], more hits.
+    pub fn with_cache(config: EngineConfig, cache: Arc<CompileCache>) -> PicachuEngine {
         let spec = match config.fabric {
             FabricKind::Heterogeneous => {
                 CgraSpec::picachu(config.cgra_rows, config.cgra_cols)
@@ -144,7 +152,7 @@ impl PicachuEngine {
                 CgraSpec::universal(config.cgra_rows, config.cgra_cols)
             }
         };
-        let compile = CompileService::new(spec);
+        let compile = CompileService::new(spec, cache);
         let dispatch = Dispatcher::new(&config);
         PicachuEngine { compile, dispatch, account: Accountant::new(), config }
     }
@@ -152,6 +160,12 @@ impl PicachuEngine {
     /// The CGRA fabric specification in use.
     pub fn spec(&self) -> &CgraSpec {
         self.compile.spec()
+    }
+
+    /// The compile cache this engine reads and publishes to; its
+    /// [`stats`](CompileCache::stats) count every sharing engine's lookups.
+    pub fn compile_cache(&self) -> &Arc<CompileCache> {
+        &self.compile.cache
     }
 
     /// The systolic array model in use.
@@ -190,9 +204,9 @@ impl PicachuEngine {
     /// whole multi-op search space is submitted to the runtime pool as a
     /// single grouped pass (see [`CompileService::warm`]), so a serving node
     /// compiles its tenants' kernel set at full parallelism before taking
-    /// traffic. Bit-identical to compiling each op serially; with a mapping
-    /// store configured ([`crate::mapstore`]), previously-persisted kernels
-    /// load from disk instead of mapping at all.
+    /// traffic. Bit-identical to compiling each op serially; on a cache with
+    /// a mapping store ([`CompileCache::with_store`]), previously-persisted
+    /// kernels load from disk instead of mapping at all.
     ///
     /// # Errors
     /// [`PicachuError::Compile`] for the first op whose kernel fails to map.
@@ -389,7 +403,7 @@ impl Accelerator for PicachuEngine {
         "PICACHU"
     }
 
-    /// PICACHU compiles kernels once into the process-wide cache and (at
+    /// PICACHU compiles kernels once into its compile cache and (at
     /// INT16) vectorizes element-wise loops across 4 lanes.
     fn compile_hint(&self) -> CompileHint {
         CompileHint { cached_kernel_compilation: true, vectorizes_int16: true }
@@ -419,8 +433,8 @@ impl Accelerator for PicachuEngine {
     }
 
     /// The capacity hint. **Warm** (this engine has compiled every distinct
-    /// nonlinear op of the trace itself; what other engines put in the
-    /// process cache does not count): runs the real dispatcher read-only
+    /// nonlinear op of the trace itself; what engines sharing its compile
+    /// cache put there does not count): runs the real dispatcher read-only
     /// against the engine's mappings, so the estimate *is* the measurement,
     /// bit for bit. **Cold**: GEMM cycles
     /// are still exact (the systolic model is stateless); nonlinear work

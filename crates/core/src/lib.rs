@@ -44,8 +44,7 @@ pub mod error;
 pub mod mapstore;
 pub mod stages;
 
-pub use compile_cache::CompileKey;
-pub use mapstore::set_mapstore_dir;
+pub use compile_cache::{CompileCache, CompileKey};
 pub use dse::{pareto_frontier, search, DesignKnobs, DesignPoint, SearchConfig, SearchResult};
 pub use engine::{
     CompiledLoop, DegradedCompile, EngineConfig, FabricKind, FallbackLevel, PicachuEngine,

@@ -1,17 +1,13 @@
-//! On-disk mapping store: cross-process persistence for the
-//! [`compile_cache`](crate::compile_cache).
+//! On-disk mapping store: cross-process persistence for a
+//! [`CompileCache`](crate::compile_cache::CompileCache).
 //!
 //! Modulo-scheduling is a pure function of [`CompileKey`], so a mapping
 //! computed once is valid for every process that shares the key — a repeat
 //! bench run, a restarted server, or a whole serving fleet pointed at one
-//! shared directory. The store is a directory chosen by, in precedence
-//! order:
-//!
-//! 1. [`set_mapstore_dir`] (programmatic; tests use a temp dir),
-//! 2. the `PICACHU_MAPSTORE` environment variable (e.g.
-//!    `PICACHU_MAPSTORE=results/mapstore`),
-//! 3. nothing — the store is **disabled by default**, so cold-compile
-//!    benches and tests measure real mapper work unless they opt in.
+//! shared directory. The store is the directory a cache is built with
+//! ([`CompileCache::with_store`](crate::compile_cache::CompileCache::with_store));
+//! a cache built with `CompileCache::new` has none, so cold compiles
+//! measure real mapper work unless a caller opts in.
 //!
 //! Each entry is one file, `<fnv1a64(key row):016x>.bitstream`, holding the
 //! entry's [`bitstream`] export: the interchange format is the persisted
@@ -31,27 +27,6 @@ use crate::compile_cache::CompileKey;
 use crate::engine::CompiledLoop;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// `None` = not overridden (fall through to the environment);
-/// `Some(None)` = explicitly disabled; `Some(Some(dir))` = use `dir`.
-static OVERRIDE: Mutex<Option<Option<PathBuf>>> = Mutex::new(None);
-
-/// Overrides the store directory for this process: `Some(dir)` enables the
-/// store there, `None` disables it regardless of `PICACHU_MAPSTORE`. Call
-/// [`crate::compile_cache::clear`] afterwards if entries from a previous
-/// location were already folded into the in-memory cache.
-pub fn set_mapstore_dir(dir: Option<PathBuf>) {
-    *OVERRIDE.lock().unwrap_or_else(|p| p.into_inner()) = Some(dir);
-}
-
-/// The effective store directory, or `None` when the store is disabled.
-fn dir() -> Option<PathBuf> {
-    if let Some(o) = OVERRIDE.lock().unwrap_or_else(|p| p.into_inner()).clone() {
-        return o;
-    }
-    std::env::var_os("PICACHU_MAPSTORE").map(PathBuf::from)
-}
 
 /// 64-bit FNV-1a: a file name that stays the same across builds and
 /// platforms, unlike `DefaultHasher`.
@@ -67,15 +42,10 @@ pub fn entry_path(dir: &Path, key: &CompileKey) -> PathBuf {
     dir.join(format!("{:016x}.bitstream", fnv1a64(row.as_bytes())))
 }
 
-/// `key`'s entry from the configured store, validated; `None` when the
-/// store is disabled or holds no acceptable entry for the key.
-pub(crate) fn load(key: &CompileKey) -> Option<Vec<CompiledLoop>> {
-    load_from(&dir()?, key)
-}
-
-/// [`load`] against an explicit store directory. Problems other than a
-/// missing file are warnings; every one of them is a miss.
-fn load_from(dir: &Path, key: &CompileKey) -> Option<Vec<CompiledLoop>> {
+/// `key`'s entry from the store in `dir`, validated; `None` when the store
+/// holds no acceptable entry for the key. Problems other than a missing
+/// file are warnings; every one of them is a miss.
+pub(crate) fn load(dir: &Path, key: &CompileKey) -> Option<Vec<CompiledLoop>> {
     let path = entry_path(dir, key);
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
@@ -100,17 +70,10 @@ fn load_from(dir: &Path, key: &CompileKey) -> Option<Vec<CompiledLoop>> {
     }
 }
 
-/// Persists `key`'s entry to the configured store. Failures are warnings:
-/// the store is an accelerator, never a correctness dependency.
-pub(crate) fn save(key: &CompileKey, loops: &[CompiledLoop]) {
-    if let Some(d) = dir() {
-        save_to(&d, key, loops);
-    }
-}
-
-/// [`save`] against an explicit store directory: write a temp file unique
-/// to this process and call, then rename it over the entry.
-fn save_to(dir: &Path, key: &CompileKey, loops: &[CompiledLoop]) {
+/// Persists `key`'s entry to the store in `dir`: write a temp file unique
+/// to this process and call, then rename it over the entry. Failures are
+/// warnings: the store is an accelerator, never a correctness dependency.
+pub(crate) fn save(dir: &Path, key: &CompileKey, loops: &[CompiledLoop]) {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let text = match bitstream::export_bitstream(key, loops) {
         Ok(t) => t,
@@ -146,10 +109,9 @@ mod tests {
         dir
     }
 
-    /// A compiled ReLU entry under a seed no other test uses.
+    /// A compiled ReLU entry.
     fn relu_entry() -> (CompileKey, Vec<CompiledLoop>) {
-        let cfg = EngineConfig { seed: 0x5704_E000, ..EngineConfig::default() };
-        let mut e = PicachuEngine::new(cfg);
+        let mut e = PicachuEngine::new(EngineConfig::default());
         (e.compile_key(NonlinearOp::Relu), e.compile_op(NonlinearOp::Relu).to_vec())
     }
 
@@ -157,13 +119,13 @@ mod tests {
     fn entry_round_trips_exactly() {
         let dir = temp_dir("roundtrip");
         let (key, loops) = relu_entry();
-        assert_eq!(load_from(&dir, &key), None, "empty store");
-        save_to(&dir, &key, &loops);
+        assert_eq!(load(&dir, &key), None, "empty store");
+        save(&dir, &key, &loops);
         let path = entry_path(&dir, &key);
         assert!(path.to_string_lossy().ends_with(".bitstream"));
         let text = std::fs::read_to_string(&path).expect("entry written");
         assert_eq!(Ok(text), bitstream::export_bitstream(&key, &loops), "the file is the export");
-        assert_eq!(load_from(&dir, &key), Some(loops));
+        assert_eq!(load(&dir, &key), Some(loops));
         let files = std::fs::read_dir(&dir).expect("store dir").count();
         assert_eq!(files, 1, "no temp file left behind");
         let _ = std::fs::remove_dir_all(&dir);
@@ -173,20 +135,20 @@ mod tests {
     fn colliding_or_rejected_entry_is_a_miss() {
         let dir = temp_dir("reject");
         let (key, loops) = relu_entry();
-        save_to(&dir, &key, &loops);
+        save(&dir, &key, &loops);
         // another key's file under this key's name
         let other = CompileKey { seed: key.seed + 1, ..key.clone() };
         std::fs::rename(entry_path(&dir, &key), entry_path(&dir, &other)).expect("rename");
-        assert_eq!(load_from(&dir, &other), None, "colliding file");
+        assert_eq!(load(&dir, &other), None, "colliding file");
         // a torn file
-        save_to(&dir, &key, &loops);
+        save(&dir, &key, &loops);
         let path = entry_path(&dir, &key);
         let text = std::fs::read_to_string(&path).expect("entry");
         std::fs::write(&path, &text[..text.len() / 2]).expect("truncate");
-        assert_eq!(load_from(&dir, &key), None, "torn file");
+        assert_eq!(load(&dir, &key), None, "torn file");
         // the next save heals it
-        save_to(&dir, &key, &loops);
-        assert_eq!(load_from(&dir, &key), Some(loops));
+        save(&dir, &key, &loops);
+        assert_eq!(load(&dir, &key), Some(loops));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

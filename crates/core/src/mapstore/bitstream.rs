@@ -5,9 +5,9 @@
 //! slot, both the compute opcode and the switchbox routes, which the staged
 //! Place→Route→Fold pipeline computes explicitly. This module exports that
 //! full picture as a versioned CSV text — the ESL-style interchange format
-//! downstream RTL tooling can consume — and imports it back into the
-//! process-wide [`compile_cache`](crate::compile_cache) so a fresh process
-//! can serve a fabric configuration without ever invoking the mapper. The
+//! downstream RTL tooling can consume — and imports it back into a
+//! [`CompileCache`] so a fresh process can serve a fabric configuration
+//! without ever invoking the mapper. The
 //! mapping store persists exactly this text, one file per key.
 //!
 //! The text is a pure function of `(CompileKey, loops)`: routes come from
@@ -33,7 +33,7 @@
 //! parsed entry reproduces it byte for byte. The derived `route` and `pnr`
 //! rows are therefore re-checked, not trusted.
 
-use crate::compile_cache::{self, CompileKey};
+use crate::compile_cache::{CompileCache, CompileKey};
 use crate::engine::CompiledLoop;
 use crate::stages::compile::kernel_for;
 use picachu_compiler::arch::CgraSpec;
@@ -369,15 +369,15 @@ pub fn import_bitstream(text: &str) -> Result<(CompileKey, Vec<CompiledLoop>), S
     Ok((key, loops))
 }
 
-/// [`import_bitstream`] + publish into the process-wide compile cache: a
-/// fresh process that installs a bitstream serves the fabric configuration
-/// with zero mapper invocations.
+/// [`import_bitstream`] + publish into `cache`: an engine built on that
+/// cache serves the fabric configuration with zero mapper invocations.
+/// Engines on any other cache never see the entry.
 ///
 /// # Errors
 /// Everything [`import_bitstream`] rejects.
-pub fn install_bitstream(text: &str) -> Result<CompileKey, String> {
+pub fn install_bitstream(cache: &CompileCache, text: &str) -> Result<CompileKey, String> {
     let (key, loops) = import_bitstream(text)?;
-    compile_cache::publish(key.clone(), loops);
+    cache.publish(key.clone(), loops);
     Ok(key)
 }
 

@@ -3,10 +3,11 @@
 //! Turns nonlinear operations into CGRA mappings: builds the kernel, then
 //! per loop picks the unroll factor minimizing the per-element II (and the
 //! INT16 vector factor when the format selects it). All compilation flows
-//! through the process-wide [`compile_cache`] memo, with an engine-local
-//! view on top so the hot path never takes the cache lock twice for the
-//! same op. Every compile is a function of `(config, op, fault plan)` only:
-//! whether some other engine already compiled a key changes how fast an
+//! through the service's [`CompileCache`] handle (private to its engine
+//! unless the engine was built on a shared one), with a per-op view on top
+//! so the hot path never takes the cache lock twice for the same op. Every
+//! compile is a function of `(config, op, fault plan)` only: whether an
+//! engine sharing the handle already compiled a key changes how fast an
 //! answer arrives, never which answer. Under faults the service walks the
 //! DESIGN §7 degradation ladder: incremental repair → re-map →
 //! universal-fabric re-map → reject.
@@ -16,7 +17,7 @@
 //! `try_parallel_find_first_grouped` as a single deterministic work queue
 //! (DESIGN §10), never a pool-inside-a-pool.
 
-use crate::compile_cache::{self, CompileKey};
+use crate::compile_cache::{CompileCache, CompileKey};
 use crate::engine::{EngineConfig, FabricKind};
 use crate::error::PicachuError;
 use picachu_compiler::arch::CgraSpec;
@@ -102,21 +103,23 @@ impl CompiledLoop {
     }
 }
 
-/// The compile stage: owns the fabric specification and the engine-local
-/// view of the process-wide compile cache.
+/// The compile stage: owns the fabric specification, the compile-cache
+/// handle and a per-op view of it.
 #[derive(Debug)]
 pub struct CompileService {
     spec: CgraSpec,
+    pub(crate) cache: Arc<CompileCache>,
     /// The healthy loops of every op this service compiled: one
-    /// [`compile_cache`] lookup per op after the first, no lock traffic on
+    /// [`CompileCache`] lookup per op after the first, no lock traffic on
     /// the hot path.
-    cache: HashMap<NonlinearOp, Arc<Vec<CompiledLoop>>>,
+    compiled: HashMap<NonlinearOp, Arc<Vec<CompiledLoop>>>,
 }
 
 impl CompileService {
-    /// A service compiling onto `spec` (kernels compile lazily on first use).
-    pub fn new(spec: CgraSpec) -> CompileService {
-        CompileService { spec, cache: HashMap::new() }
+    /// A service compiling onto `spec` through `cache` (kernels compile
+    /// lazily on first use).
+    pub fn new(spec: CgraSpec, cache: Arc<CompileCache>) -> CompileService {
+        CompileService { spec, cache, compiled: HashMap::new() }
     }
 
     /// The CGRA fabric specification in use.
@@ -131,13 +134,13 @@ impl CompileService {
     /// through [`CompileService::try_compile_op`] (or check
     /// [`CompileService::is_compiled`]) first.
     pub(crate) fn loops(&self, op: NonlinearOp) -> &Arc<Vec<CompiledLoop>> {
-        &self.cache[&op]
+        &self.compiled[&op]
     }
 
-    /// Whether this service has compiled `op`. Never reads the process
+    /// Whether this service has compiled `op`. Never reads the shared
     /// cache, so the answer depends only on this service's own calls.
     pub(crate) fn is_compiled(&self, op: NonlinearOp) -> bool {
-        self.cache.contains_key(&op)
+        self.compiled.contains_key(&op)
     }
 
     /// The non-panicking compile path: compiles (or returns cached) loops,
@@ -151,19 +154,13 @@ impl CompileService {
         config: &EngineConfig,
         op: NonlinearOp,
     ) -> Result<Arc<Vec<CompiledLoop>>, PicachuError> {
-        if let Some(hit) = self.cache.get(&op) {
+        if let Some(hit) = self.compiled.get(&op) {
             return Ok(hit.clone());
         }
-        let key = self.compile_key(config, op);
-        let compiled = match compile_cache::lookup(&key) {
-            Some(hit) => hit,
-            None => {
-                let full = ResourceMask::full(&self.spec);
-                let loops = self.compile_one(config, op, &self.spec, &full)?;
-                compile_cache::publish(key, loops)
-            }
-        };
-        self.cache.insert(op, compiled.clone());
+        let compiled = self.cache.get_or_compile(self.compile_key(config, op), || {
+            self.compile_one(config, op, &self.spec, &ResourceMask::full(&self.spec))
+        })?;
+        self.compiled.insert(op, compiled.clone());
         Ok(compiled)
     }
 
@@ -186,13 +183,13 @@ impl CompileService {
     ) -> Result<(), PicachuError> {
         let mut misses: Vec<NonlinearOp> = Vec::new();
         for &op in ops {
-            if self.cache.contains_key(&op) || misses.contains(&op) {
+            if self.compiled.contains_key(&op) || misses.contains(&op) {
                 continue;
             }
-            // process-cache hits are cheap lookups; only real mapping work
-            // goes to the pool
-            if let Some(hit) = compile_cache::lookup(&self.compile_key(config, op)) {
-                self.cache.insert(op, hit);
+            // cache hits are cheap lookups; only real mapping work goes to
+            // the pool
+            if let Some(hit) = self.cache.lookup(&self.compile_key(config, op)) {
+                self.compiled.insert(op, hit);
             } else {
                 misses.push(op);
             }
@@ -203,8 +200,8 @@ impl CompileService {
         let full = ResourceMask::full(&self.spec);
         let compiled = self.compile_batch(config, &misses, &self.spec, &full)?;
         for (&op, loops) in misses.iter().zip(compiled) {
-            let arc = compile_cache::publish(self.compile_key(config, op), loops?);
-            self.cache.insert(op, arc);
+            let arc = self.cache.publish(self.compile_key(config, op), loops?);
+            self.compiled.insert(op, arc);
         }
         Ok(())
     }
@@ -217,8 +214,8 @@ impl CompileService {
     /// sub-DFG re-placed) → **re-map** around the dead resources on the
     /// engine's own fabric → **universal-fabric** re-map (every PE supports
     /// every opcode) → **reject** with the primary error. Every successful
-    /// compile is published to the process cache under its exact fault set,
-    /// so repeated requests against the same degraded part hit the cache.
+    /// compile is published to the service's cache under its exact fault
+    /// set, so repeated requests against the same degraded part hit it.
     ///
     /// # Errors
     /// [`PicachuError::Compile`] when every rung fails — the error carries
@@ -260,13 +257,10 @@ impl CompileService {
                     incremental: true,
                     ..self.degraded_key(config, op, plan, false)
                 };
-                let repaired = match compile_cache::lookup(&ikey) {
-                    Some(hit) => Some(hit),
-                    None => self
-                        .try_repair_loops(config, op, &mask, healthy)
-                        .map(|loops| compile_cache::publish(ikey, loops)),
-                };
-                if let Some(loops) = repaired {
+                let repaired = self.cache.get_or_compile(ikey, || {
+                    self.try_repair_loops(config, op, &mask, healthy).ok_or(())
+                });
+                if let Ok(loops) = repaired {
                     let ii_inflation = CompileService::ii_inflation(healthy_ii, &loops);
                     return Ok(DegradedCompile {
                         loops,
@@ -279,12 +273,8 @@ impl CompileService {
         }
         // rung 2: full re-map around the faults on the engine's own fabric
         let key = self.degraded_key(config, op, plan, false);
-        let primary = match compile_cache::lookup(&key) {
-            Some(hit) => Ok(hit),
-            None => self
-                .compile_one(config, op, &self.spec, &mask)
-                .map(|loops| compile_cache::publish(key, loops)),
-        };
+        let primary =
+            self.cache.get_or_compile(key, || self.compile_one(config, op, &self.spec, &mask));
         let primary_err = match primary {
             Ok(loops) => {
                 let ii_inflation = CompileService::ii_inflation(healthy_ii, &loops);
@@ -305,12 +295,8 @@ impl CompileService {
             plan.dead_links.iter().copied(),
         );
         let ukey = self.degraded_key(config, op, plan, true);
-        let fallback = match compile_cache::lookup(&ukey) {
-            Some(hit) => Ok(hit),
-            None => self
-                .compile_one(config, op, &uspec, &umask)
-                .map(|loops| compile_cache::publish(ukey, loops)),
-        };
+        let fallback =
+            self.cache.get_or_compile(ukey, || self.compile_one(config, op, &uspec, &umask));
         match fallback {
             Ok(loops) => {
                 let ii_inflation = CompileService::ii_inflation(healthy_ii, &loops);
@@ -334,7 +320,7 @@ impl CompileService {
         }
     }
 
-    /// The process-wide cache key for this configuration's compilation of
+    /// The cache key for this configuration's compilation of
     /// `op`: everything the compile kernel reads. `buffer_kb` and the
     /// ablation knobs are absent because mapping never sees them. The
     /// `universal` flag mirrors the config's fabric flavor — a 4×4
@@ -724,9 +710,14 @@ pub fn kernel_for(op: NonlinearOp, terms: usize) -> klib::Kernel {
 mod tests {
     use super::*;
 
+    /// A service on `spec` with a private cache.
+    fn service_on(spec: CgraSpec) -> CompileService {
+        CompileService::new(spec, Arc::new(CompileCache::new()))
+    }
+
     fn service() -> (CompileService, EngineConfig) {
         let config = EngineConfig::default();
-        (CompileService::new(CgraSpec::picachu(config.cgra_rows, config.cgra_cols)), config)
+        (service_on(CgraSpec::picachu(config.cgra_rows, config.cgra_cols)), config)
     }
 
     #[test]
@@ -821,7 +812,7 @@ mod tests {
                 plan.dead_tiles.iter().copied(),
                 plan.dead_links.iter().copied(),
             );
-            let svc = CompileService::new(spec.clone());
+            let svc = service_on(spec.clone());
             let reference: Vec<_> = NonlinearOp::ALL
                 .iter()
                 .map(|&op| compile_unbounded(&svc, &config, op, &spec, &mask))
@@ -883,7 +874,6 @@ mod tests {
 
     #[test]
     fn degraded_compile_takes_the_incremental_rung() {
-        // a seed unique to this test keeps the shared process cache hermetic
         // an 8×8 fabric: at paper-scale 4×4 the kernels map at their
         // resource-bound minimum II, so losing a tile usually makes the
         // retained II infeasible and the repair rung correctly passes; a
@@ -894,8 +884,7 @@ mod tests {
             cgra_cols: 8,
             ..EngineConfig::default()
         };
-        let mut svc =
-            CompileService::new(CgraSpec::picachu(config.cgra_rows, config.cgra_cols));
+        let mut svc = service_on(CgraSpec::picachu(config.cgra_rows, config.cgra_cols));
         let mut repaired_any = false;
         for op in [NonlinearOp::Relu, NonlinearOp::Silu, NonlinearOp::Softmax] {
             let healthy = svc.try_compile_op(&config, op).expect("healthy compile");
@@ -928,15 +917,15 @@ mod tests {
 
     #[test]
     fn degraded_compile_ignores_what_was_compiled_before() {
-        // a seed unique to this test: no other engine in the process has
-        // compiled its healthy kernels, so the first call below is unprimed
+        // each service has a private cache, so the first call below runs
+        // without the healthy kernels compiled
         let config = EngineConfig { seed: 0x12C0_0003, ..EngineConfig::default() };
         let spec = CgraSpec::picachu(config.cgra_rows, config.cgra_cols);
         let (op, plan) = (NonlinearOp::Softmax, picachu_faults::FaultPlan::dead_tile(5));
-        let unprimed = CompileService::new(spec.clone())
+        let unprimed = service_on(spec.clone())
             .compile_op_degraded(&config, op, &plan)
             .expect("unprimed degraded compile");
-        let mut primed = CompileService::new(spec);
+        let mut primed = service_on(spec);
         primed.try_compile_op(&config, op).expect("healthy compile");
         let primed = primed.compile_op_degraded(&config, op, &plan).expect("primed compile");
         assert_eq!(unprimed.fallback, primed.fallback);
@@ -947,7 +936,7 @@ mod tests {
     #[test]
     fn incremental_and_full_remap_entries_never_alias() {
         let config = EngineConfig { seed: 0x12C0_0002, ..EngineConfig::default() };
-        let svc = CompileService::new(CgraSpec::picachu(config.cgra_rows, config.cgra_cols));
+        let svc = service_on(CgraSpec::picachu(config.cgra_rows, config.cgra_cols));
         let plan = picachu_faults::FaultPlan::dead_tile(3);
         let full = svc.degraded_key(&config, NonlinearOp::Relu, &plan, false);
         let inc = CompileKey { incremental: true, ..full.clone() };

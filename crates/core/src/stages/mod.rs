@@ -4,8 +4,8 @@
 //! hand-offs, each independently testable:
 //!
 //! 1. [`compile`] — [`CompileService`]: kernel → CGRA mappings, through the
-//!    process-wide compile cache and (under faults) the DESIGN §7
-//!    degradation ladder. Output: [`CompiledLoop`]s per operation.
+//!    engine's compile cache and (under faults) the DESIGN §7 degradation
+//!    ladder. Output: [`CompiledLoop`]s per operation.
 //! 2. [`dispatch`] — [`Dispatcher`]: walks an operator trace, applies the
 //!    §4.2.4 dataflow cases (streaming overlap, channel-wise double
 //!    buffering, buffer residency) and the fault-overhead accounting.

@@ -2,9 +2,9 @@
 //!
 //! Cases are linearized in a deterministic order; a discrepancy's `case`
 //! field is its position in that order, and setting
-//! `PICACHU_ORACLE_REPLAY=<case>` re-runs exactly that one case. The
-//! process-wide compile cache keeps the grid affordable: only
-//! (op, geometry, format, unroll set) combinations compile, not every
+//! `PICACHU_ORACLE_REPLAY=<case>` re-runs exactly that one case. One
+//! engine per (geometry, format) keeps the grid affordable: its compile
+//! cache compiles each (op, geometry, format, unroll set) once, not every
 //! shape.
 
 use crate::report::{CaseCtx, OracleReport};

@@ -111,8 +111,8 @@ impl ChaosConfig {
 }
 
 /// The standard degradation menu: one dead PE, one dead link, a two-PE
-/// loss, and a seeded mixed plan. Fixed so every degraded PICACHU compile
-/// after the first hits the process-wide fault-keyed cache.
+/// loss, and a seeded mixed plan. Fixed, so a schedule only ever draws
+/// from these four degraded fabrics.
 pub fn default_plan_menu() -> Vec<FaultPlan> {
     vec![
         FaultPlan::dead_tile(5),

@@ -21,12 +21,14 @@
 
 use crate::arrivals::Tenant;
 use picachu::engine::{EngineConfig, PicachuEngine};
+use picachu::CompileCache;
 use picachu_backend::Accelerator;
 use picachu_baselines::{CpuModel, GemminiModel, GpuModel, HomogeneousCgraModel, TandemModel};
 use picachu_faults::FaultPlan;
 use picachu_llm::trace::{batched_decode_trace, model_trace};
 use picachu_nonlinear::NonlinearOp;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// What device a shard is.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,9 +81,19 @@ impl ShardSpec {
     /// tenant — never *what* it produces; cost tables are bit-identical
     /// either way.
     pub fn build_warmed(&self, tenants: &[Tenant]) -> Box<dyn Accelerator> {
+        self.build_warmed_on(tenants, Arc::new(CompileCache::new()))
+    }
+
+    /// [`ShardSpec::build_warmed`] with a PICACHU engine compiling through
+    /// `cache`.
+    fn build_warmed_on(
+        &self,
+        tenants: &[Tenant],
+        cache: Arc<CompileCache>,
+    ) -> Box<dyn Accelerator> {
         match self {
             ShardSpec::Picachu(cfg) => {
-                let mut engine = PicachuEngine::new(cfg.clone());
+                let mut engine = PicachuEngine::with_cache(cfg.clone(), cache);
                 let mut ops: BTreeSet<NonlinearOp> = BTreeSet::new();
                 for t in tenants {
                     ops.extend(t.model.nonlinear_ops());
@@ -163,6 +175,9 @@ pub struct Shard {
     pub capacity_factor: f64,
     costs: HashMap<CostKey, u64>,
     max_batch_pow2: u32,
+    /// This shard's compile cache: its fault path keeps the healthy kernels
+    /// for repair, and a recurring plan compiles once.
+    cache: Arc<CompileCache>,
 }
 
 impl Shard {
@@ -171,7 +186,8 @@ impl Shard {
     /// prefill, context buckets from prompt to prompt+max decode, batch
     /// sizes at powers of two up to `max_batch`.
     pub fn new(id: usize, spec: ShardSpec, tenants: &[Tenant], max_batch: usize) -> Shard {
-        let mut backend = spec.build_warmed(tenants);
+        let cache = Arc::new(CompileCache::new());
+        let mut backend = spec.build_warmed_on(tenants, cache.clone());
         let max_batch_pow2 = max_batch.max(1).next_power_of_two() as u32;
         let mut costs = HashMap::new();
         for (ti, t) in tenants.iter().enumerate() {
@@ -206,6 +222,7 @@ impl Shard {
             capacity_factor: 1.0,
             costs,
             max_batch_pow2,
+            cache,
         }
     }
 
@@ -283,7 +300,7 @@ impl Shard {
                 ShardSpec::Picachu(cfg) => {
                     let ops: BTreeSet<NonlinearOp> =
                         tenants.iter().flat_map(|t| t.model.nonlinear_ops()).collect();
-                    let mut engine = PicachuEngine::new(cfg.clone());
+                    let mut engine = PicachuEngine::with_cache(cfg.clone(), self.cache.clone());
                     let mut factor = 1.0f64;
                     for op in ops {
                         match engine.compile_op_degraded(op, plan) {

@@ -6,6 +6,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== statics ratchet (no process-global mutable state outside the allowlist) =="
+# A compile cache, counter or store directory held in a `static` makes an
+# output depend on what else ran in the process; engines own such state.
+# The allowlist in the script names the few statics that may stay and why.
+python3 scripts/check_statics.py
+
 echo "== build (release, offline) =="
 cargo build --release --offline
 

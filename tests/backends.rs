@@ -7,11 +7,12 @@
 //! backend seam cannot drift from the engine it fronts.
 
 use picachu::engine::{EngineConfig, PicachuEngine};
-use picachu::{Accelerator, ExecutionReport};
+use picachu::{Accelerator, CompileCache, ExecutionReport};
 use picachu_backend::HINT_WARM_TOLERANCE;
 use picachu_baselines::{CpuModel, GemminiModel, GpuModel, HomogeneousCgraModel, TandemModel};
 use picachu_llm::trace::TraceOp;
 use picachu_llm::ModelConfig;
+use std::sync::Arc;
 
 /// Every backend in the workspace, freshly constructed.
 fn all_backends() -> Vec<Box<dyn Accelerator>> {
@@ -189,15 +190,15 @@ fn default_hint_floor_is_not_good_enough_for_the_a100() {
 
 #[test]
 fn picachu_cold_hint_does_not_touch_the_compile_cache() {
-    // a config no other test uses, so its compile keys are cold in the
-    // process-wide cache no matter what ran before us; estimating a trace
-    // must price it via COLD_NONLINEAR_CYCLES_PER_ELEMENT without
-    // publishing mappings as a side effect
+    // estimating a trace on a cold engine must price it via
+    // COLD_NONLINEAR_CYCLES_PER_ELEMENT without publishing mappings (or
+    // even looking them up) as a side effect
     let cfg = EngineConfig { cgra_rows: 5, cgra_cols: 3, ..EngineConfig::default() };
     let e = PicachuEngine::new(cfg.clone());
     let trace = prefill();
     let cold = e.estimate_trace(&trace);
     assert!(cold > 0.0 && cold.is_finite());
+    assert_eq!(e.compile_cache().stats(), (0, 0), "estimating compiled or looked up");
     // still cold after estimating: a second estimate is bit-identical and
     // a fresh engine with the same config sees the same cold number
     assert_eq!(e.estimate_trace(&trace).to_bits(), cold.to_bits());
@@ -206,14 +207,16 @@ fn picachu_cold_hint_does_not_touch_the_compile_cache() {
 
 #[test]
 fn picachu_hint_ignores_other_engines_compiles() {
-    // a config no other test uses: the fresh engine's hint must not change
-    // when a *different* engine with the same config compiles the trace's
-    // kernels into the process-wide cache
+    // the fresh engine's hint must not change when a *different* engine
+    // with the same config compiles the trace's kernels into the compile
+    // cache both share
     let cfg = EngineConfig { seed: 0xE571_0001, ..EngineConfig::default() };
     let trace = prefill();
-    let fresh = PicachuEngine::new(cfg.clone());
+    let cache = Arc::new(CompileCache::new());
+    let fresh = PicachuEngine::with_cache(cfg.clone(), cache.clone());
     let before = fresh.estimate_trace(&trace);
-    PicachuEngine::new(cfg).execute_trace(&trace);
+    PicachuEngine::with_cache(cfg, cache.clone()).execute_trace(&trace);
+    assert!(cache.stats().1 > 0, "the other engine compiled into the shared cache");
     assert_eq!(fresh.estimate_trace(&trace).to_bits(), before.to_bits());
 }
 

@@ -5,9 +5,10 @@
 //! kernel library, bit-identical `Breakdown`s for end-to-end execution, and
 //! bit-identical search results for a `dse::search` run.
 //!
-//! The compile cache is cleared between runs so every configuration actually
-//! re-compiles — otherwise the second run would trivially replay the first
-//! run's cached mappings and the test would prove nothing.
+//! Every snapshot compiles into its own fresh compile cache, so each thread
+//! count actually re-compiles — a shared cache would let the second run
+//! trivially replay the first run's mappings and the test would prove
+//! nothing.
 //!
 //! The serving half extends the contract one layer up: a full
 //! `picachu-serve` run over a PICACHU-backed pool (whose shard
@@ -16,12 +17,11 @@
 //! threads — and the same must hold under a full chaos schedule (crashes,
 //! retries, preemption and shedding in the loop) at 1 and 8 threads.
 
-use picachu::compile_cache;
 use picachu::compiler::mapper::Mapping;
 use picachu::dse::{search, SearchConfig, SearchResult};
 use picachu::engine::{EngineConfig, PicachuEngine};
 use picachu::runtime;
-use picachu::Breakdown;
+use picachu::{Breakdown, CompileCache};
 use picachu::faults::FaultPlan;
 use picachu_llm::ModelConfig;
 use picachu_nonlinear::NonlinearOp;
@@ -30,6 +30,7 @@ use picachu_serve::{
     chaos_schedule, run, ArrivalPattern, ChaosConfig, FaultEvent, RetryPolicy, ServeConfig,
     ServeReport, ShardSpec, Tenant,
 };
+use std::sync::Arc;
 
 struct Snapshot {
     mappings: Vec<(String, Mapping)>,
@@ -39,13 +40,13 @@ struct Snapshot {
 
 fn snapshot(threads: usize) -> Snapshot {
     runtime::set_thread_override(Some(threads));
-    compile_cache::clear();
+    let cache = Arc::new(CompileCache::new());
 
     // full kernel library, both formats (FP16 scalar + INT16 vectorized)
     let mut mappings = Vec::new();
     for format in [DataFormat::Fp16, DataFormat::Int16] {
-        let mut engine =
-            PicachuEngine::new(EngineConfig { format, ..EngineConfig::default() });
+        let config = EngineConfig { format, ..EngineConfig::default() };
+        let mut engine = PicachuEngine::with_cache(config, cache.clone());
         for op in NonlinearOp::ALL {
             for (i, l) in engine.compile_op(op).to_vec().into_iter().enumerate() {
                 mappings.push((format!("{format}/{op:?}/{i}"), l.mapping));
@@ -54,7 +55,7 @@ fn snapshot(threads: usize) -> Snapshot {
     }
 
     // end-to-end breakdown on a fresh engine (hits the cache warmed above)
-    let mut engine = PicachuEngine::new(EngineConfig::default());
+    let mut engine = PicachuEngine::with_cache(EngineConfig::default(), cache);
     let breakdown = engine.execute_model(&ModelConfig::gpt2(), 128);
 
     // a DSE mini-search (parallel over candidates at `threads > 1`)
@@ -94,7 +95,6 @@ fn threads_1_and_8_are_bit_identical() {
 /// path of the schedule.
 fn serve_snapshot(threads: usize) -> ServeReport {
     runtime::set_thread_override(Some(threads));
-    compile_cache::clear();
     let cfg = ServeConfig {
         seed: 0xDE7E_2217,
         n_requests: 30,
@@ -155,7 +155,6 @@ fn serving_run_is_thread_count_invariant() {
 /// service and must still be schedule-invisible.
 fn chaos_snapshot(threads: usize) -> ServeReport {
     runtime::set_thread_override(Some(threads));
-    compile_cache::clear();
     let tiny = |name: &'static str| ModelConfig {
         name,
         layers: 1,

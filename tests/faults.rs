@@ -30,7 +30,7 @@ fn every_paper_kernel_survives_a_dead_pe_and_a_dead_link() {
                 "{op:?} under {plan}: a single fault must re-map, got {}",
                 d.fallback
             );
-            assert!(d.ii_inflation >= 1.0 || d.ii_inflation > 0.0);
+            assert!(d.ii_inflation.is_finite() && d.ii_inflation > 0.0, "{op:?} under {plan}");
             let b = e
                 .try_execute_trace_faulted(
                     &[TraceOp::Nonlinear { op, rows: 32, channel: 64 }],
