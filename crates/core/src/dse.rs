@@ -15,9 +15,8 @@
 //!    not the paper's nominal 0.7,
 //! 3. **area** — mm² of the configured silicon,
 //! 4. **resilience** — degraded-capacity retention under a fixed set of
-//!    [`FaultPlan`]s, scored through the real degradation ladder exactly
-//!    like `picachu-serve` prices a faulted shard (`1/ii_inflation`, 0 for
-//!    a rejected fabric).
+//!    [`FaultPlan`]s, scored through the real degradation ladder
+//!    (`1/ii_inflation`, 0 for a rejected fabric).
 //!
 //! Rather than exhausting the (combinatorial) knob grid, [`search`] runs a
 //! small seeded generational loop: a population containing the deployed
@@ -448,9 +447,9 @@ fn evaluate(
     Some(DesignPoint { knobs, latency, energy_nj, area_mm2, resilience, utilization })
 }
 
-/// Mean degraded-capacity retention across the fault plans — the same
-/// `1/max(1, worst ii_inflation)` capacity factor `picachu-serve` applies
-/// to a faulted shard, 0 when the ladder rejects the fabric entirely.
+/// Mean degraded-capacity retention across the fault plans —
+/// `1/max(1, worst ii_inflation)` per plan, 0 when the ladder rejects the
+/// fabric entirely.
 fn resilience_score(engine: &mut PicachuEngine, ops: &[NonlinearOp], plans: &[FaultPlan]) -> f64 {
     if plans.is_empty() {
         return 1.0;

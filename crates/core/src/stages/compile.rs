@@ -113,13 +113,17 @@ pub struct CompileService {
     /// [`CompileCache`] lookup per op after the first, no lock traffic on
     /// the hot path.
     compiled: HashMap<NonlinearOp, Arc<Vec<CompiledLoop>>>,
+    /// Every degradation-ladder answer this service walked, per degraded
+    /// key: a rung's failure publishes nothing to the cache, so without
+    /// this a repeat request would re-run every failing rung.
+    ladder: HashMap<CompileKey, Result<DegradedCompile, PicachuError>>,
 }
 
 impl CompileService {
     /// A service compiling onto `spec` through `cache` (kernels compile
     /// lazily on first use).
     pub fn new(spec: CgraSpec, cache: Arc<CompileCache>) -> CompileService {
-        CompileService { spec, cache, compiled: HashMap::new() }
+        CompileService { spec, cache, compiled: HashMap::new(), ladder: HashMap::new() }
     }
 
     /// The CGRA fabric specification in use.
@@ -215,7 +219,10 @@ impl CompileService {
     /// engine's own fabric → **universal-fabric** re-map (every PE supports
     /// every opcode) → **reject** with the primary error. Every successful
     /// compile is published to the service's cache under its exact fault
-    /// set, so repeated requests against the same degraded part hit it.
+    /// set, so repeated requests against the same degraded part hit it,
+    /// and the service remembers each answer (failures included) per
+    /// degraded key, so a repeat request on the same service walks no rung
+    /// at all.
     ///
     /// # Errors
     /// [`PicachuError::Compile`] when every rung fails — the error carries
@@ -226,6 +233,24 @@ impl CompileService {
         config: &EngineConfig,
         op: NonlinearOp,
         plan: &FaultPlan,
+    ) -> Result<DegradedCompile, PicachuError> {
+        let key = self.degraded_key(config, op, plan, false);
+        if let Some(answer) = self.ladder.get(&key) {
+            return answer.clone();
+        }
+        let answer = self.walk_ladder(config, op, plan, &key);
+        self.ladder.insert(key, answer.clone());
+        answer
+    }
+
+    /// The ladder walk behind [`Self::compile_op_degraded`]; `key` is the
+    /// plan's own-fabric degraded key.
+    fn walk_ladder(
+        &mut self,
+        config: &EngineConfig,
+        op: NonlinearOp,
+        plan: &FaultPlan,
+        key: &CompileKey,
     ) -> Result<DegradedCompile, PicachuError> {
         let mask = ResourceMask::degraded(
             &self.spec,
@@ -253,10 +278,7 @@ impl CompileService {
         // re-map — a DSE compiler-strategy knob).
         if config.incremental_repair {
             if let Some(healthy) = &healthy {
-                let ikey = CompileKey {
-                    incremental: true,
-                    ..self.degraded_key(config, op, plan, false)
-                };
+                let ikey = CompileKey { incremental: true, ..key.clone() };
                 let repaired = self.cache.get_or_compile(ikey, || {
                     self.try_repair_loops(config, op, &mask, healthy).ok_or(())
                 });
@@ -272,9 +294,9 @@ impl CompileService {
             }
         }
         // rung 2: full re-map around the faults on the engine's own fabric
-        let key = self.degraded_key(config, op, plan, false);
-        let primary =
-            self.cache.get_or_compile(key, || self.compile_one(config, op, &self.spec, &mask));
+        let primary = self
+            .cache
+            .get_or_compile(key.clone(), || self.compile_one(config, op, &self.spec, &mask));
         let primary_err = match primary {
             Ok(loops) => {
                 let ii_inflation = CompileService::ii_inflation(healthy_ii, &loops);
@@ -931,6 +953,22 @@ mod tests {
         assert_eq!(unprimed.fallback, primed.fallback);
         assert_eq!(unprimed.ii_inflation.to_bits(), primed.ii_inflation.to_bits());
         assert_eq!(unprimed.loops, primed.loops);
+    }
+
+    #[test]
+    fn a_repeat_ladder_walk_is_answered_without_a_lookup() {
+        // on the default 4×4 fabric LayerNorm's repair rung fails under
+        // dead_tile(5), and a failed rung publishes nothing to the cache
+        let (mut svc, config) = service();
+        let (op, plan) = (NonlinearOp::LayerNorm, picachu_faults::FaultPlan::dead_tile(5));
+        let first = svc.compile_op_degraded(&config, op, &plan).expect("degraded compile");
+        assert_ne!(first.fallback, FallbackLevel::Incremental, "the repair rung must fail here");
+        let stats = svc.cache.stats();
+        let again = svc.compile_op_degraded(&config, op, &plan).expect("repeat");
+        assert_eq!(again.fallback, first.fallback);
+        assert_eq!(again.loops, first.loops);
+        assert_eq!(again.ii_inflation.to_bits(), first.ii_inflation.to_bits());
+        assert_eq!(svc.cache.stats(), stats, "the repeat walked a rung");
     }
 
     #[test]

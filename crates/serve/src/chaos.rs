@@ -1,12 +1,10 @@
 //! Seeded chaos schedules: timed mid-run failure for the serving pool.
 //!
-//! PR 6's `faults` field applies a [`FaultPlan`] as a capacity scaling with
-//! drain semantics — the in-flight batch finishes, then the queue rebalances.
-//! Real fleets are not that polite: a shard crashes *mid-batch*, comes back
-//! minutes later, or spends a window refusing new work while its compile
-//! service restarts. This module generates those events as data — a sorted
-//! `Vec<ChaosEvent>` that is a pure function of a [`ChaosConfig`] — so a
-//! chaos run is exactly as replayable as a clean one (the scheduler's
+//! A shard degrades when a [`FaultPlan`] lands on it, crashes *mid-batch*,
+//! comes back minutes later, or spends a window refusing new work while its
+//! compile service restarts. This module generates those events as data — a
+//! sorted `Vec<ChaosEvent>` that is a pure function of a [`ChaosConfig`] —
+//! so a chaos run is exactly as replayable as a clean one (the scheduler's
 //! replay and thread-count-invariance contracts extend to chaos unchanged).
 //!
 //! Four actions cover the failure modes the retry/preemption machinery in
@@ -15,9 +13,10 @@
 //! * [`ChaosAction::Crash`] — the shard drops out of service *now*; its
 //!   in-flight batch is killed (no tokens commit) and every member enters
 //!   the retry path.
-//! * [`ChaosAction::Degrade`] — a [`FaultPlan`] lands at time t, priced
-//!   through [`Shard::apply_fault`](crate::Shard::apply_fault) (the PICACHU
-//!   degradation ladder for real shards).
+//! * [`ChaosAction::Degrade`] — a [`FaultPlan`] lands at time t and
+//!   replaces the shard's cost table
+//!   ([`Shard::apply_fault`](crate::Shard::apply_fault): PICACHU shards
+//!   re-run every cost-key trace on their degraded mappings).
 //! * [`ChaosAction::Recover`] — the shard returns to full health.
 //! * [`ChaosAction::CompileOutage`] — the shard finishes what it is running
 //!   but starts nothing new for a window (a transient compile-service
@@ -33,8 +32,8 @@ pub enum ChaosAction {
     /// Immediate out-of-service: the in-flight batch dies with no tokens
     /// committed and its members are retried on surviving shards.
     Crash,
-    /// Apply a fault plan at event time (priced like a static fault, but
-    /// landing mid-run; queued work re-places, in-flight work drains).
+    /// Apply a fault plan at event time: the shard's cost table becomes the
+    /// plan's, queued work re-places, in-flight work drains.
     Degrade(FaultPlan),
     /// Clear all faults and outages: back to full capacity.
     Recover,

@@ -7,8 +7,8 @@
 //! (Poisson / bursty / diurnal), continuous batching of decode steps
 //! across concurrent sequences, admission control, cost-model-driven
 //! placement over heterogeneous shard pools (PICACHU, Gemmini-class, the
-//! A100 roofline, …), fault-driven capacity degradation with live
-//! rebalancing, and per-request SLO accounting.
+//! A100 roofline, …), fault-driven re-pricing with live rebalancing, and
+//! per-request SLO accounting.
 //!
 //! Since the chaos PR the layer is also *fault-tolerant at runtime*: a
 //! seeded [`chaos`] schedule crashes, degrades, recovers and
@@ -55,8 +55,8 @@ pub use metrics::{summarize, SloSummary};
 pub use picachu_faults::RetryPolicy;
 pub use pool::{bucket_log2, CostKey, Shard, ShardReport, ShardSpec};
 pub use sched::{
-    run, Audit, BatchRecord, FaultEvent, Outcome, RejectReason, RequestRecord, ServeConfig,
-    ServeReport, PREEMPT_TTFT_DIVISOR,
+    run, Audit, BatchRecord, Outcome, RejectReason, RequestRecord, ServeConfig, ServeReport,
+    PREEMPT_TTFT_DIVISOR,
 };
 
 #[cfg(test)]

@@ -1,23 +1,25 @@
 //! The accelerator pool: heterogeneous shards behind the unified
-//! [`Accelerator`] contract, with measured step-cost tables and
-//! fault-driven capacity factors.
+//! [`Accelerator`] contract, each priced by one step-cost table.
 //!
 //! A shard is one device instance (PICACHU engine, Gemmini-class,
 //! A100 roofline, …). At construction every shard *measures* its healthy
 //! step costs once — one `execute_trace` per tenant model to warm kernel
 //! caches, then the [`Accelerator::estimate_trace`] capacity hint (exact
 //! when warm, by the backend-parity contract) fills a table over bucketed
-//! (tenant, context, batch) shapes. The table is a pure function of
+//! (tenant, context, batch) shapes. The healthy table is a pure function of
 //! `(spec, tenants, max_batch)`: it never changes when faults arrive, which
 //! is what lets the degraded-capacity tests assert healthy shards'
 //! measurements stay bit-identical to their fault-free runs.
 //!
-//! Faults scale, they don't re-measure: applying a [`FaultPlan`] derives a
-//! *capacity factor* — for PICACHU shards from the real degradation ladder
-//! (worst `ii_inflation` over the tenants' kernels; a ladder rejection
-//! takes the shard out of service), for the analytical baselines from the
-//! alive-tile fraction of a nominal 16-unit device. Effective step cost is
-//! `healthy cost × factor`.
+//! Every price the scheduler reads is one lookup in the shard's *current*
+//! table. A [`FaultPlan`] replaces that table; it never multiplies a healthy
+//! price. A PICACHU shard re-measures every cost key by running its trace on
+//! the degraded mappings ([`PicachuEngine::try_execute_trace_faulted`]), so
+//! a fault costs exactly what it slows down and GEMM time stays GEMM time; a
+//! ladder rejection, ECC storm or DMA exhaustion takes the shard out of
+//! service. The analytical baselines have no compiler to consult, so each
+//! healthy entry is scaled by the alive fraction of a nominal 16-unit
+//! device. An empty plan restores the healthy table.
 
 use crate::arrivals::Tenant;
 use picachu::engine::{EngineConfig, PicachuEngine};
@@ -25,9 +27,10 @@ use picachu::CompileCache;
 use picachu_backend::Accelerator;
 use picachu_baselines::{CpuModel, GemminiModel, GpuModel, HomogeneousCgraModel, TandemModel};
 use picachu_faults::FaultPlan;
-use picachu_llm::trace::{batched_decode_trace, model_trace};
+use picachu_llm::trace::{batched_decode_trace, model_trace, TraceOp};
 use picachu_nonlinear::NonlinearOp;
 use std::collections::{BTreeSet, HashMap};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// What device a shard is.
@@ -118,7 +121,7 @@ pub fn bucket_log2(x: usize) -> u32 {
     x.max(1).next_power_of_two().trailing_zeros()
 }
 
-/// One entry of a shard's measured healthy cost table.
+/// One entry of a shard's cost table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CostKey {
     /// Tenant index.
@@ -150,8 +153,8 @@ pub struct ShardReport {
     /// `(spec, tenants, max_batch)`, so bit-identical across runs whatever
     /// faults hit the rest of the pool.
     pub cost_table: Vec<(CostKey, u64)>,
-    /// Capacity factor at end of run (1 = healthy, ∞ = out of service).
-    pub final_capacity_factor: f64,
+    /// Whether the shard was in service at the end of the run.
+    pub in_service: bool,
     /// In-flight batches killed by chaos crashes on this shard.
     pub killed_batches: u64,
     /// Decode batches preempted mid-step for a higher-priority prefill.
@@ -159,6 +162,42 @@ pub struct ShardReport {
     /// Busy time charged to batches that never completed (killed or
     /// preempted) — the price of chaos, excluded from useful `busy_ns`.
     pub wasted_ns: u64,
+}
+
+/// Step costs in ns, one per cost key.
+type CostTable = HashMap<CostKey, u64>;
+
+/// Prices every shape the tenants can present — the prompt bucket for
+/// prefill; for decode, context buckets from prompt to prompt + max decode
+/// at batch sizes in powers of two up to `max_batch_pow2` — with `price`
+/// giving one step trace's cost in ns. Stops at the first trace `price`
+/// refuses.
+fn measure<E>(
+    tenants: &[Tenant],
+    max_batch_pow2: u32,
+    mut price: impl FnMut(&[TraceOp]) -> Result<f64, E>,
+) -> Result<CostTable, E> {
+    let mut table = CostTable::new();
+    for (tenant, t) in tenants.iter().enumerate() {
+        let pb = bucket_log2(t.prompt);
+        let mut keys = vec![CostKey { tenant, prefill: true, bucket: pb, batch: 1 }];
+        for bucket in pb..=bucket_log2(t.prompt + t.decode.1) {
+            let mut batch = 1u32;
+            while batch <= max_batch_pow2 {
+                keys.push(CostKey { tenant, prefill: false, bucket, batch });
+                batch *= 2;
+            }
+        }
+        for key in keys {
+            let trace = if key.prefill {
+                model_trace(&t.model, 1usize << key.bucket)
+            } else {
+                batched_decode_trace(&t.model, 1usize << key.bucket, key.batch as usize)
+            };
+            table.insert(key, (price(&trace)?.ceil() as u64).max(1));
+        }
+    }
+    Ok(table)
 }
 
 /// One device of the pool, with its measured costs and live fault state.
@@ -171,9 +210,11 @@ pub struct Shard {
     pub backend_name: String,
     /// The fault plan currently applied (empty = healthy).
     pub fault: FaultPlan,
-    /// Step-cost multiplier: 1.0 healthy, >1 degraded, ∞ out of service.
-    pub capacity_factor: f64,
-    costs: HashMap<CostKey, u64>,
+    /// The measured healthy table.
+    healthy: CostTable,
+    /// The table every price reads: the healthy one or the applied plan's;
+    /// `None` while the shard is out of service.
+    current: Option<CostTable>,
     max_batch_pow2: u32,
     /// This shard's compile cache: its fault path keeps the healthy kernels
     /// for repair, and a recurring plan compiles once.
@@ -182,45 +223,26 @@ pub struct Shard {
 
 impl Shard {
     /// Builds the shard and eagerly measures its healthy cost table over
-    /// every bucketed shape the tenants can present: prompt buckets for
-    /// prefill, context buckets from prompt to prompt+max decode, batch
-    /// sizes at powers of two up to `max_batch`.
+    /// every bucketed shape the tenants can present (see `measure`).
     pub fn new(id: usize, spec: ShardSpec, tenants: &[Tenant], max_batch: usize) -> Shard {
         let cache = Arc::new(CompileCache::new());
         let mut backend = spec.build_warmed_on(tenants, cache.clone());
         let max_batch_pow2 = max_batch.max(1).next_power_of_two() as u32;
-        let mut costs = HashMap::new();
-        for (ti, t) in tenants.iter().enumerate() {
-            // one real execution per tenant model warms kernel caches, so
-            // every estimate below is exact by the parity contract
+        // one real execution per tenant model warms kernel caches, so every
+        // estimate below is exact by the parity contract
+        for t in tenants {
             backend.execute_trace(&batched_decode_trace(&t.model, t.prompt.max(1), 1));
-            let pb = bucket_log2(t.prompt);
-            let key = CostKey { tenant: ti, prefill: true, bucket: pb, batch: 1 };
-            let est = backend.estimate_trace(&model_trace(&t.model, 1usize << pb));
-            costs.insert(key, (est.ceil() as u64).max(1));
-            let lo = bucket_log2(t.prompt);
-            let hi = bucket_log2(t.prompt + t.decode.1);
-            for bucket in lo..=hi {
-                let mut batch = 1u32;
-                while batch <= max_batch_pow2 {
-                    let trace =
-                        batched_decode_trace(&t.model, 1usize << bucket, batch as usize);
-                    let est = backend.estimate_trace(&trace);
-                    costs.insert(
-                        CostKey { tenant: ti, prefill: false, bucket, batch },
-                        (est.ceil() as u64).max(1),
-                    );
-                    batch *= 2;
-                }
-            }
         }
+        let Ok(healthy) = measure::<Infallible>(tenants, max_batch_pow2, |trace| {
+            Ok(backend.estimate_trace(trace))
+        });
         Shard {
             id,
             backend_name: backend.name().to_string(),
             spec,
             fault: FaultPlan::none(),
-            capacity_factor: 1.0,
-            costs,
+            current: Some(healthy.clone()),
+            healthy,
             max_batch_pow2,
             cache,
         }
@@ -228,34 +250,49 @@ impl Shard {
 
     /// Whether the shard can accept work.
     pub fn in_service(&self) -> bool {
-        self.capacity_factor.is_finite()
+        self.current.is_some()
     }
 
     /// Takes the shard out of service immediately — the chaos `Crash`
     /// action. Unlike [`Shard::apply_fault`] with a total-outage plan this
     /// never consults the compiler (a crashed shard answers nothing); the
-    /// fault plan is left untouched so a later `Recover` restores exactly
-    /// the pre-crash degradation state via `apply_fault`.
+    /// fault plan is left untouched so re-applying it restores exactly the
+    /// pre-crash degradation state.
     pub fn force_out_of_service(&mut self) {
-        self.capacity_factor = f64::INFINITY;
+        self.current = None;
     }
 
-    /// Healthy (unscaled) cost of a batched decode step: `batch` sequences
-    /// of `tenant`, each holding `context` cached tokens. Batch and context
-    /// quantize up to their power-of-two buckets (conservative).
-    pub fn healthy_decode_cost(&self, tenant: usize, context: usize, batch: usize) -> u64 {
+    /// The current table.
+    ///
+    /// # Panics
+    /// Panics if the shard is out of service — the scheduler never prices
+    /// work on such a shard.
+    fn table(&self) -> &CostTable {
+        match &self.current {
+            Some(table) => table,
+            None => panic!("shard {} priced while out of service", self.id),
+        }
+    }
+
+    /// Cost of a batched decode step: `batch` sequences of `tenant`, each
+    /// holding `context` cached tokens. Batch and context quantize up to
+    /// their power-of-two buckets (conservative).
+    ///
+    /// # Panics
+    /// Panics if the shard is out of service.
+    pub fn decode_cost(&self, tenant: usize, context: usize, batch: usize) -> u64 {
         let key = CostKey {
             tenant,
             prefill: false,
             bucket: bucket_log2(context),
             batch: (batch.max(1).next_power_of_two() as u32).min(self.max_batch_pow2),
         };
-        self.costs.get(&key).copied().unwrap_or_else(|| {
+        let table = self.table();
+        table.get(&key).copied().unwrap_or_else(|| {
             // context outgrew the probed range (decode beyond the declared
             // max): charge the largest probed bucket of this tenant,
             // scaled by the bucket ratio — still deterministic
-            let widest = self
-                .costs
+            let widest = table
                 .iter()
                 .filter(|(k, _)| k.tenant == tenant && !k.prefill && k.batch == key.batch)
                 .max_by_key(|(k, _)| k.bucket);
@@ -266,62 +303,48 @@ impl Shard {
         })
     }
 
-    /// Healthy cost of a prefill step for `tenant`.
-    pub fn healthy_prefill_cost(&self, tenant: usize, prompt: usize) -> u64 {
-        let key =
-            CostKey { tenant, prefill: true, bucket: bucket_log2(prompt), batch: 1 };
-        self.costs.get(&key).copied().unwrap_or(1)
-    }
-
-    /// Effective (fault-scaled) step cost in ns.
+    /// Cost of a prefill step for `tenant`.
     ///
     /// # Panics
-    /// Panics if the shard is out of service — the scheduler never issues
-    /// work to a shard whose capacity factor is infinite.
-    pub fn scaled(&self, healthy: u64) -> u64 {
-        assert!(self.in_service(), "scaled() on an out-of-service shard");
-        ((healthy as f64) * self.capacity_factor).ceil() as u64
+    /// Panics if the shard is out of service.
+    pub fn prefill_cost(&self, tenant: usize, prompt: usize) -> u64 {
+        let key =
+            CostKey { tenant, prefill: true, bucket: bucket_log2(prompt), batch: 1 };
+        self.table().get(&key).copied().unwrap_or(1)
     }
 
-    /// Applies `plan`, deriving the shard's new capacity factor.
+    /// Applies `plan`, replacing the shard's current table.
     ///
-    /// PICACHU shards walk the real degradation ladder: every nonlinear
-    /// kernel the tenants' models use is recompiled under the plan, the
-    /// worst `ii_inflation` becomes the factor, and a ladder rejection
-    /// (no rung maps) takes the shard out of service. The analytical
-    /// baselines have no compiler to consult, so the plan's dead tiles are
-    /// read as dead compute units out of a nominal 16: factor =
-    /// 16 / alive (∞ when none survive).
+    /// PICACHU shards re-measure every cost key by running its trace under
+    /// the plan ([`PicachuEngine::try_execute_trace_faulted`], on the
+    /// shard's own compile cache): the kernels take the real degradation
+    /// ladder, and a ladder rejection, ECC storm or DMA exhaustion takes
+    /// the shard out of service. The analytical baselines have no compiler
+    /// to consult, so the plan's dead tiles are read as dead compute units
+    /// out of a nominal 16: every healthy entry scales by 16 / alive (out
+    /// of service when none survive). An empty plan restores the healthy
+    /// table.
     pub fn apply_fault(&mut self, plan: &FaultPlan, tenants: &[Tenant]) {
-        self.capacity_factor = if plan.is_empty() {
-            1.0
+        self.current = if plan.is_empty() {
+            Some(self.healthy.clone())
         } else {
             match &self.spec {
                 ShardSpec::Picachu(cfg) => {
-                    let ops: BTreeSet<NonlinearOp> =
-                        tenants.iter().flat_map(|t| t.model.nonlinear_ops()).collect();
                     let mut engine = PicachuEngine::with_cache(cfg.clone(), self.cache.clone());
-                    let mut factor = 1.0f64;
-                    for op in ops {
-                        match engine.compile_op_degraded(op, plan) {
-                            Ok(d) => factor = factor.max(d.ii_inflation.max(1.0)),
-                            Err(_) => {
-                                factor = f64::INFINITY;
-                                break;
-                            }
-                        }
-                    }
-                    factor
+                    measure(tenants, self.max_batch_pow2, |trace| {
+                        engine.try_execute_trace_faulted(trace, plan).map(|b| b.total())
+                    })
+                    .ok()
                 }
                 _ => {
                     const NOMINAL_UNITS: usize = 16;
                     let dead =
                         plan.dead_tiles.iter().filter(|&&t| t < NOMINAL_UNITS).count();
-                    if dead >= NOMINAL_UNITS {
-                        f64::INFINITY
-                    } else {
-                        NOMINAL_UNITS as f64 / (NOMINAL_UNITS - dead) as f64
-                    }
+                    (dead < NOMINAL_UNITS).then(|| {
+                        let factor = NOMINAL_UNITS as f64 / (NOMINAL_UNITS - dead) as f64;
+                        let scale = |c: u64| ((c as f64) * factor).ceil() as u64;
+                        self.healthy.iter().map(|(&k, &c)| (k, scale(c))).collect()
+                    })
                 }
             }
         };
@@ -330,7 +353,7 @@ impl Shard {
 
     /// Snapshot of the measured healthy cost table, sorted by key.
     pub fn cost_table(&self) -> Vec<(CostKey, u64)> {
-        let mut v: Vec<(CostKey, u64)> = self.costs.iter().map(|(k, &c)| (*k, c)).collect();
+        let mut v: Vec<(CostKey, u64)> = self.healthy.iter().map(|(k, &c)| (*k, c)).collect();
         v.sort_unstable();
         v
     }
@@ -360,20 +383,26 @@ mod tests {
         }
     }
 
+    /// A plan with every tile of a nominal 16-unit device dead.
+    fn all_dead() -> FaultPlan {
+        (0..16).fold(FaultPlan::none(), |plan, t| plan.with_dead_tile(t))
+    }
+
     #[test]
     fn forced_outage_preserves_fault_state_for_recovery() {
         let ts = vec![tiny_tenant()];
         let mut s = Shard::new(0, ShardSpec::Gemmini, &ts, 2);
         s.apply_fault(&FaultPlan::dead_tile(3), &ts);
-        let degraded = s.capacity_factor;
+        let degraded = s.current.clone();
         s.force_out_of_service();
         assert!(!s.in_service());
         assert_eq!(s.fault, FaultPlan::dead_tile(3), "crash must not erase the plan");
-        // recovery re-applies the standing plan, landing back on the
-        // degraded (not healthy, not dead) factor
+        // re-applying the standing plan lands back on the degraded (not
+        // healthy, not dead) table
         let plan = s.fault.clone();
         s.apply_fault(&plan, &ts);
-        assert_eq!(s.capacity_factor, degraded);
+        assert_eq!(s.current, degraded);
+        assert_ne!(s.current.as_ref(), Some(&s.healthy));
     }
 
     #[test]
@@ -384,51 +413,59 @@ mod tests {
         assert_eq!(a.cost_table(), b.cost_table());
         assert!(!a.cost_table().is_empty());
         // a bigger batch can only cost more in total...
-        let c1 = a.healthy_decode_cost(0, 32, 1);
-        let c8 = a.healthy_decode_cost(0, 32, 8);
+        let c1 = a.decode_cost(0, 32, 1);
+        let c8 = a.decode_cost(0, 32, 8);
         assert!(c8 >= c1, "{c8} vs {c1}");
         // ...but less per sequence (the point of batching) on the
         // launch-bound GPU
         let g = Shard::new(1, ShardSpec::Gpu, &ts, 8);
-        let g1 = g.healthy_decode_cost(0, 32, 1);
-        let g8 = g.healthy_decode_cost(0, 32, 8);
+        let g1 = g.decode_cost(0, 32, 1);
+        let g8 = g.decode_cost(0, 32, 8);
         assert!(g8 < 8 * g1, "batching must amortize launches: {g8} vs 8x{g1}");
     }
 
     #[test]
-    fn fault_scales_picachu_capacity_via_the_ladder() {
+    fn faulted_picachu_shard_prices_by_running_the_trace() {
         let ts = vec![tiny_tenant()];
+        let plan = FaultPlan::dead_tile(5);
         let mut s = Shard::new(0, ShardSpec::picachu(), &ts, 4);
-        assert_eq!(s.capacity_factor, 1.0);
-        s.apply_fault(&FaultPlan::dead_tile(5), &ts);
+        s.apply_fault(&plan, &ts);
         assert!(s.in_service());
-        assert!(s.capacity_factor >= 1.0);
-        // killing the whole fabric rejects on every rung → out of service
-        let mut all_dead = FaultPlan::none();
-        for t in 0..16 {
-            all_dead = all_dead.with_dead_tile(t);
+        // every entry is the key's own trace run on the degraded mappings
+        let mut engine = PicachuEngine::new(EngineConfig::default());
+        let current = s.current.clone().expect("in service");
+        assert_eq!(current.len(), s.healthy.len());
+        for (key, &cost) in &current {
+            let t = &ts[key.tenant];
+            let trace = if key.prefill {
+                model_trace(&t.model, 1usize << key.bucket)
+            } else {
+                batched_decode_trace(&t.model, 1usize << key.bucket, key.batch as usize)
+            };
+            let run = engine.try_execute_trace_faulted(&trace, &plan).expect("runs");
+            assert_eq!(cost, (run.total().ceil() as u64).max(1), "{key:?}");
         }
-        s.apply_fault(&all_dead, &ts);
-        assert!(!s.in_service());
-        // healthy costs never moved
+        // the healthy table never moved
         let fresh = Shard::new(0, ShardSpec::picachu(), &ts, 4);
         assert_eq!(s.cost_table(), fresh.cost_table());
-        // and recovery restores full capacity
+        // the empty plan restores the healthy prices exactly
         s.apply_fault(&FaultPlan::none(), &ts);
-        assert_eq!(s.capacity_factor, 1.0);
+        assert_eq!(s.current.as_ref(), Some(&fresh.healthy));
+        // killing the whole fabric rejects on every rung → out of service
+        s.apply_fault(&all_dead(), &ts);
+        assert!(!s.in_service());
     }
 
     #[test]
     fn analytical_shards_lose_alive_fraction() {
         let ts = vec![tiny_tenant()];
-        let mut s = Shard::new(0, ShardSpec::Cpu, &ts, 2);
+        let mut s = Shard::new(0, ShardSpec::Gemmini, &ts, 4);
         s.apply_fault(&FaultPlan::dead_tile(0).with_dead_tile(1), &ts);
-        assert!((s.capacity_factor - 16.0 / 14.0).abs() < 1e-12);
-        let mut plan = FaultPlan::none();
-        for t in 0..16 {
-            plan = plan.with_dead_tile(t);
+        let current = s.current.clone().expect("in service");
+        for (key, &healthy) in &s.healthy {
+            assert_eq!(current[key], (healthy as f64 * 16.0 / 14.0).ceil() as u64, "{key:?}");
         }
-        s.apply_fault(&plan, &ts);
+        s.apply_fault(&all_dead(), &ts);
         assert!(!s.in_service());
     }
 
@@ -436,8 +473,8 @@ mod tests {
     fn context_beyond_probed_range_stays_deterministic() {
         let ts = vec![tiny_tenant()];
         let s = Shard::new(0, ShardSpec::Tandem, &ts, 2);
-        let far = s.healthy_decode_cost(0, 1 << 14, 1);
-        assert!(far >= s.healthy_decode_cost(0, 64, 1));
-        assert_eq!(far, s.healthy_decode_cost(0, 1 << 14, 1));
+        let far = s.decode_cost(0, 1 << 14, 1);
+        assert!(far >= s.decode_cost(0, 64, 1));
+        assert_eq!(far, s.decode_cost(0, 1 << 14, 1));
     }
 }

@@ -1,7 +1,7 @@
 //! The deterministic discrete-event serving scheduler.
 //!
 //! One event loop advances simulated time over five event classes —
-//! fault/chaos injections, compile-outage expiries, batch completions,
+//! chaos injections, compile-outage expiries, batch completions,
 //! retry re-dispatches, request arrivals (processed in that order at equal
 //! timestamps, then by a stable tie id) — and after *every* event pumps the
 //! pool to a work-conserving fixpoint: each startable shard begins a batch
@@ -16,8 +16,8 @@
 //! the best achievable backlog-estimated latency exceeds
 //! `shed_deadline_factor × slo`). Placement charges each in-service shard
 //! its estimated backlog plus the request's estimated remaining work — both
-//! priced from the shard's *measured* cost table times its fault capacity
-//! factor — and picks the minimum, lowest shard id on ties. Batches form
+//! looked up in the shard's current cost table (healthy, or re-measured
+//! under its fault plan) — and picks the minimum, lowest shard id on ties. Batches form
 //! from a shard's queue around the most urgent waiting sequence (lowest
 //! priority class, FIFO within a class — identical to plain FIFO when every
 //! tenant shares one class): all members share one compatibility key
@@ -25,15 +25,15 @@
 //! up to `max_batch`. Completions re-enqueue unfinished sequences at the
 //! tail (continuous batching).
 //!
-//! Failure semantics come in two flavors. The legacy [`FaultEvent`] list
-//! keeps PR 6's *drain* semantics — the plan re-prices the shard, queued
-//! work re-places, the in-flight batch finishes even on a now-dead shard —
-//! bit-identical to before chaos existed. [`ChaosEvent`]s are the violent
-//! path (DESIGN.md §12): a `Crash` kills the in-flight batch *mid-step*
-//! (none of its tokens commit — replay idempotence is the accounting rule,
-//! not an aspiration) and every member enters the bounded-backoff retry
-//! ladder ([`RetryPolicy`]); exhausting the budget yields a typed
-//! [`Outcome::Abandoned`]. A `CompileOutage` lets running work finish but
+//! Failures arrive as [`ChaosEvent`]s (DESIGN.md §12). A `Degrade` swaps
+//! the shard's cost table for its fault plan's and *drains*: the in-flight
+//! batch finishes, even on a now-dead shard, and queued work re-places. A
+//! `Crash` kills the in-flight batch *mid-step* (none of its tokens commit
+//! — replay idempotence is the accounting rule, not an aspiration) and
+//! every member enters the bounded-backoff retry ladder ([`RetryPolicy`]);
+//! exhausting the budget yields a typed [`Outcome::Abandoned`]. Work either
+//! action displaces re-places on a survivor, or enters the retry ladder
+//! when none is left. A `CompileOutage` lets running work finish but
 //! blocks new batches until the window expires. The extended audit proves
 //! conservation under all of it: every admitted request reaches exactly one
 //! terminal state, and `tokens_committed == tokens_reported` — a token is
@@ -65,21 +65,6 @@ use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
-/// A fault injection scheduled into the serving trace, with PR 6 *drain*
-/// semantics: the in-flight batch completes even if the plan takes the
-/// shard out of service. For crash-style mid-batch failure use
-/// [`ServeConfig::chaos`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultEvent {
-    /// When the plan lands, in ns.
-    pub at_ns: u64,
-    /// Which shard it hits.
-    pub shard: usize,
-    /// The plan (empty plan = repair to full health).
-    pub plan: FaultPlan,
-}
-
-
 /// Fraction of a request's SLO budgeted for time-to-first-token by the
 /// preemption rule: a queued prefill whose wait would push TTFT past
 /// `slo / 4` may preempt a strictly-lower-priority decode batch.
@@ -102,8 +87,6 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Admission cap: max admitted-but-incomplete requests.
     pub max_in_flight: usize,
-    /// Mid-trace fault injections (drain semantics).
-    pub faults: Vec<FaultEvent>,
     /// Mid-trace chaos injections (crash/recover/outage semantics); build
     /// with [`chaos_schedule`](crate::chaos_schedule) or by hand.
     pub chaos: Vec<ChaosEvent>,
@@ -136,7 +119,6 @@ impl ServeConfig {
             pool,
             max_batch: 8,
             max_in_flight: 1024,
-            faults: Vec::new(),
             chaos: Vec::new(),
             retry: RetryPolicy::new(3, 500_000),
             preempt: false,
@@ -226,7 +208,7 @@ pub struct BatchRecord {
     pub members: Vec<u64>,
     /// Issue time in ns.
     pub start_ns: u64,
-    /// Step cost in ns (capacity-scaled).
+    /// Step cost in ns (from the shard's current cost table).
     pub cost_ns: u64,
 }
 
@@ -441,13 +423,6 @@ struct ShardState {
     wasted_ns: u64,
 }
 
-/// How a FAULT-class event resolves: index into the legacy `faults` list
-/// or into the `chaos` list.
-enum FaultSrc {
-    Legacy(usize),
-    Chaos(usize),
-}
-
 struct Sim<'a> {
     cfg: &'a ServeConfig,
     shards: Vec<ShardState>,
@@ -464,51 +439,16 @@ struct Sim<'a> {
 /// Runs one serving trace to completion. Pure in `cfg`.
 pub fn run(cfg: &ServeConfig) -> ServeReport {
     let requests = arrival_trace(cfg.pattern, &cfg.tenants, cfg.n_requests, cfg.seed);
-    let shards: Vec<ShardState> = cfg
+    let shards = cfg
         .pool
         .iter()
         .enumerate()
-        .map(|(id, spec)| ShardState {
-            shard: Shard::new(id, spec.clone(), &cfg.tenants, cfg.max_batch),
-            queue: VecDeque::new(),
-            urgency: BTreeMap::new(),
-            busy: None,
-            est_backlog_ns: 0,
-            blocked_until: 0,
-            batches: 0,
-            steps: 0,
-            busy_ns: 0,
-            killed_batches: 0,
-            preempted_batches: 0,
-            wasted_ns: 0,
-        })
+        .map(|(id, spec)| Shard::new(id, spec.clone(), &cfg.tenants, cfg.max_batch))
         .collect();
+    let mut sim = Sim::new(cfg, shards, requests.len());
 
-    let mut sim = Sim {
-        cfg,
-        shards,
-        seqs: Vec::new(),
-        events: BinaryHeap::new(),
-        audit: Audit { generated: requests.len() as u64, ..Audit::default() },
-        batch_log: Vec::new(),
-        in_flight_requests: 0,
-        next_batch_id: 0,
-        horizon_ns: 0,
-        rejected_at_arrival: vec![None; requests.len()],
-    };
-
-    // legacy faults take tie ids [0, faults.len()); chaos follows, so a
-    // legacy-only config replays the exact pre-chaos event sequence
-    for (i, f) in cfg.faults.iter().enumerate() {
-        sim.events.push(Reverse(Ev {
-            t: f.at_ns,
-            class: CLASS_FAULT,
-            tie: i as u64,
-            payload: i as u64,
-        }));
-    }
     for (i, c) in cfg.chaos.iter().enumerate() {
-        let tie = (cfg.faults.len() + i) as u64;
+        let tie = i as u64;
         sim.events.push(Reverse(Ev { t: c.at_ns, class: CLASS_FAULT, tie, payload: tie }));
     }
     let mut records: Vec<Option<RequestRecord>> = vec![None; requests.len()];
@@ -526,14 +466,7 @@ pub fn run(cfg: &ServeConfig) -> ServeReport {
         events_processed += 1;
         sim.horizon_ns = sim.horizon_ns.max(ev.t);
         match ev.class {
-            CLASS_FAULT => {
-                let src = if (ev.payload as usize) < cfg.faults.len() {
-                    FaultSrc::Legacy(ev.payload as usize)
-                } else {
-                    FaultSrc::Chaos(ev.payload as usize - cfg.faults.len())
-                };
-                sim.on_fault(ev.t, &src);
-            }
+            CLASS_FAULT => sim.on_chaos(ev.t, &cfg.chaos[ev.payload as usize]),
             CLASS_RESUME => {} // the gate is time-based; pumping suffices
             CLASS_COMPLETION => sim.on_completion(ev.t, ev.tie as usize, ev.payload),
             CLASS_RETRY => sim.on_retry(ev.t, ev.payload as usize),
@@ -580,7 +513,7 @@ pub fn run(cfg: &ServeConfig) -> ServeReport {
             steps: s.steps,
             busy_ns: s.busy_ns,
             cost_table: s.shard.cost_table(),
-            final_capacity_factor: s.shard.capacity_factor,
+            in_service: s.shard.in_service(),
             killed_batches: s.killed_batches,
             preempted_batches: s.preempted_batches,
             wasted_ns: s.wasted_ns,
@@ -597,25 +530,58 @@ pub fn run(cfg: &ServeConfig) -> ServeReport {
     }
 }
 
-impl Sim<'_> {
-    /// Estimated remaining work of `seq` on shard `sid`, capacity-scaled:
-    /// pending prefill plus remaining tokens at the amortized max-batch
-    /// decode rate.
+impl<'a> Sim<'a> {
+    /// An idle pool of `shards` about to serve `generated` requests.
+    fn new(cfg: &'a ServeConfig, shards: Vec<Shard>, generated: usize) -> Sim<'a> {
+        let shards = shards
+            .into_iter()
+            .map(|shard| ShardState {
+                shard,
+                queue: VecDeque::new(),
+                urgency: BTreeMap::new(),
+                busy: None,
+                est_backlog_ns: 0,
+                blocked_until: 0,
+                batches: 0,
+                steps: 0,
+                busy_ns: 0,
+                killed_batches: 0,
+                preempted_batches: 0,
+                wasted_ns: 0,
+            })
+            .collect();
+        Sim {
+            cfg,
+            shards,
+            seqs: Vec::new(),
+            events: BinaryHeap::new(),
+            audit: Audit { generated: generated as u64, ..Audit::default() },
+            batch_log: Vec::new(),
+            in_flight_requests: 0,
+            next_batch_id: 0,
+            horizon_ns: 0,
+            rejected_at_arrival: vec![None; generated],
+        }
+    }
+
+    /// Estimated remaining work of `seq` on shard `sid` at the shard's
+    /// current prices: pending prefill plus remaining tokens at the
+    /// amortized max-batch decode rate.
     fn estimate_remaining(&self, seq: &SeqState, sid: usize) -> u64 {
         let sh = &self.shards[sid].shard;
         let t = seq.req.tenant;
         let mut ns = 0u64;
         if seq.phase == SeqPhase::Prefill {
-            ns += sh.healthy_prefill_cost(t, seq.req.prompt);
+            ns += sh.prefill_cost(t, seq.req.prompt);
         }
         let remaining = seq.req.decode.saturating_sub(seq.produced) as u64;
         if remaining > 0 {
             let ctx = if seq.phase == SeqPhase::Prefill { seq.req.prompt } else { seq.context };
             let b = self.cfg.max_batch.max(1);
-            let step = sh.healthy_decode_cost(t, ctx, b);
+            let step = sh.decode_cost(t, ctx, b);
             ns += (step / b as u64).max(1).saturating_mul(remaining);
         }
-        sh.scaled(ns.max(1))
+        ns.max(1)
     }
 
     /// Best in-service shard for `seq` with its estimated-completion score
@@ -701,13 +667,9 @@ impl Sim<'_> {
     }
 
     fn on_retry(&mut self, now: u64, seq_idx: usize) {
-        if self.seqs[seq_idx].outcome.is_some() {
-            return;
-        }
-        match self.place(&self.seqs[seq_idx]) {
-            Some(sid) => self.assign(seq_idx, sid),
-            // pool still fully down: burn another attempt and back off more
-            None => self.retry_or_abandon(seq_idx, now),
+        if self.seqs[seq_idx].outcome.is_none() {
+            // a pool still fully down burns another attempt
+            self.place_or_retry(seq_idx, now);
         }
     }
 
@@ -824,64 +786,47 @@ impl Sim<'_> {
         }
     }
 
-    fn on_fault(&mut self, now: u64, src: &FaultSrc) {
-        // self.cfg outlives &mut self: reborrow it so the event data stays
-        // readable across the mutating handlers
-        let cfg = self.cfg;
-        match src {
-            FaultSrc::Legacy(i) => {
-                let f = &cfg.faults[*i];
-                if f.shard >= self.shards.len() {
-                    return;
-                }
-                self.degrade(now, f.shard, &f.plan, false);
-            }
-            FaultSrc::Chaos(i) => {
-                let c = &cfg.chaos[*i];
-                if c.shard >= self.shards.len() {
-                    return;
-                }
-                match &c.action {
-                    ChaosAction::Crash => self.crash(now, c.shard),
-                    ChaosAction::Degrade(plan) => self.degrade(now, c.shard, plan, true),
-                    ChaosAction::Recover => self.recover(c.shard),
-                    ChaosAction::CompileOutage { for_ns } => {
-                        self.compile_outage(now, c.shard, *for_ns);
-                    }
-                }
-            }
+    fn on_chaos(&mut self, now: u64, c: &ChaosEvent) {
+        if c.shard >= self.shards.len() {
+            return;
+        }
+        match &c.action {
+            ChaosAction::Crash => self.crash(now, c.shard),
+            ChaosAction::Degrade(plan) => self.degrade(now, c.shard, plan),
+            ChaosAction::Recover => self.recover(c.shard),
+            ChaosAction::CompileOutage { for_ns } => self.compile_outage(now, c.shard, *for_ns),
         }
     }
 
-    /// Applies `plan` to `sid` with drain semantics: the in-flight batch
-    /// finishes, queued work re-places. On a now-dead pool, displaced work
-    /// goes to the retry ladder for chaos events (`retryable`) and to the
-    /// PR 6 typed rejection for legacy fault events — the legacy path must
-    /// replay bit-identically to before retries existed.
-    fn degrade(&mut self, now: u64, sid: usize, plan: &FaultPlan, retryable: bool) {
-        self.shards[sid].shard.apply_fault(plan, &self.cfg.tenants);
-        let displaced = self.drain_queue(sid);
-        for seq_idx in displaced {
+    /// Places `seq_idx` on the best in-service shard, or sends it into the
+    /// retry ladder when none is left.
+    fn place_or_retry(&mut self, seq_idx: usize, now: u64) {
+        match self.place(&self.seqs[seq_idx]) {
+            Some(sid) => self.assign(seq_idx, sid),
+            None => self.retry_or_abandon(seq_idx, now),
+        }
+    }
+
+    /// Re-places every sequence queued on `sid`, which just lost capacity.
+    fn displace_queue(&mut self, now: u64, sid: usize) {
+        for seq_idx in self.drain_queue(sid) {
             self.discharge(seq_idx);
-            match self.place(&self.seqs[seq_idx]) {
-                Some(new_sid) => self.assign(seq_idx, new_sid),
-                None if retryable => self.retry_or_abandon(seq_idx, now),
-                None => self.terminal(
-                    seq_idx,
-                    Outcome::Rejected {
-                        at_ns: now,
-                        reason: RejectReason::NoCapacity,
-                        after_admission: true,
-                    },
-                ),
-            }
+            self.place_or_retry(seq_idx, now);
         }
     }
 
-    /// Kills `sid` outright: capacity goes infinite, the in-flight batch
+    /// Applies `plan` to `sid` with drain semantics: the shard's cost table
+    /// becomes the plan's, the in-flight batch finishes, queued work
+    /// re-places.
+    fn degrade(&mut self, now: u64, sid: usize, plan: &FaultPlan) {
+        self.shards[sid].shard.apply_fault(plan, &self.cfg.tenants);
+        self.displace_queue(now, sid);
+    }
+
+    /// Kills `sid` outright: the shard leaves service, the in-flight batch
     /// dies with *nothing* committed (its completion event goes stale via
-    /// the batch id), and every member — running or queued — re-places on
-    /// the survivors or enters the retry ladder.
+    /// the batch id), its members enter the retry ladder, and queued work
+    /// re-places on the survivors or enters the retry ladder.
     fn crash(&mut self, now: u64, sid: usize) {
         self.shards[sid].shard.force_out_of_service();
         if let Some(fl) = self.shards[sid].busy.take() {
@@ -893,14 +838,7 @@ impl Sim<'_> {
                 self.retry_or_abandon(seq_idx, now);
             }
         }
-        let displaced = self.drain_queue(sid);
-        for seq_idx in displaced {
-            self.discharge(seq_idx);
-            match self.place(&self.seqs[seq_idx]) {
-                Some(new_sid) => self.assign(seq_idx, new_sid),
-                None => self.retry_or_abandon(seq_idx, now),
-            }
-        }
+        self.displace_queue(now, sid);
     }
 
     /// Chaos recovery: clears faults and outage gates — full health.
@@ -1036,17 +974,11 @@ impl Sim<'_> {
             }
         }
 
-        let healthy = match phase {
-            SeqPhase::Prefill => {
-                self.shards[sid].shard.healthy_prefill_cost(tenant, 1usize << bucket)
-            }
-            SeqPhase::Decode => self.shards[sid].shard.healthy_decode_cost(
-                tenant,
-                1usize << bucket,
-                members.len(),
-            ),
+        let shard = &self.shards[sid].shard;
+        let cost = match phase {
+            SeqPhase::Prefill => shard.prefill_cost(tenant, 1usize << bucket),
+            SeqPhase::Decode => shard.decode_cost(tenant, 1usize << bucket, members.len()),
         };
-        let cost = self.shards[sid].shard.scaled(healthy);
         let done_at = now.saturating_add(cost);
         if self.cfg.log_batches {
             self.batch_log.push(BatchRecord {
@@ -1116,10 +1048,7 @@ impl Sim<'_> {
                 let s = &self.seqs[self.shards[sid].queue[pos]];
                 (s.req.tenant, s.req.prompt, s.req.arrival_ns, s.req.slo_ns)
             };
-            let cost = {
-                let sh = &self.shards[sid].shard;
-                sh.scaled(sh.healthy_prefill_cost(tenant, prompt))
-            };
+            let cost = self.shards[sid].shard.prefill_cost(tenant, prompt);
             let deadline = arrival.saturating_add(slo / PREEMPT_TTFT_DIVISOR);
             if done_at.saturating_add(cost) <= deadline {
                 continue; // waiting out the decode batch still meets TTFT
@@ -1186,12 +1115,7 @@ impl Sim<'_> {
                 None => break,
             };
             self.discharge(seq_idx);
-            let est = self.estimate_remaining(&self.seqs[seq_idx], thief);
-            self.seqs[seq_idx].shard = thief;
-            self.seqs[seq_idx].charged_ns = est;
-            self.shards[thief].est_backlog_ns =
-                self.shards[thief].est_backlog_ns.saturating_add(est);
-            self.enqueue_back(thief, seq_idx);
+            self.assign(seq_idx, thief);
             self.start_batch(thief, now);
         }
         // 3. audit: no startable shard may now be idle while work waits
@@ -1270,33 +1194,9 @@ mod tests {
         let shard = Shard::new(0, ShardSpec::Gemmini, &cfg.tenants, cfg.max_batch);
         // pick the vip SLO so its TTFT bound (slo/4) is threatened by the
         // running batch but still reachable by preempting right now
-        let prefill_cost = shard.scaled(shard.healthy_prefill_cost(VIP, 16));
-        let vip_slo = 8 * prefill_cost;
-        let mut sim = Sim {
-            cfg: &cfg,
-            shards: vec![ShardState {
-                shard,
-                queue: VecDeque::new(),
-                urgency: BTreeMap::new(),
-                busy: None,
-                est_backlog_ns: 0,
-                blocked_until: 0,
-                batches: 0,
-                steps: 0,
-                busy_ns: 0,
-                killed_batches: 0,
-                preempted_batches: 0,
-                wasted_ns: 0,
-            }],
-            seqs: Vec::new(),
-            events: BinaryHeap::new(),
-            audit: Audit::default(),
-            batch_log: Vec::new(),
-            in_flight_requests: 0,
-            next_batch_id: 1,
-            horizon_ns: 0,
-            rejected_at_arrival: Vec::new(),
-        };
+        let vip_slo = 8 * shard.prefill_cost(VIP, 16);
+        let mut sim = Sim::new(&cfg, vec![shard], 0);
+        sim.next_batch_id = 1;
 
         // a low-priority decode batch occupies the shard until far future
         for _ in 0..2 {
@@ -1360,31 +1260,8 @@ mod tests {
             )
         };
         let shard = Shard::new(0, ShardSpec::Gemmini, &cfg.tenants, cfg.max_batch);
-        let mut sim = Sim {
-            cfg: &cfg,
-            shards: vec![ShardState {
-                shard,
-                queue: VecDeque::new(),
-                urgency: BTreeMap::new(),
-                busy: None,
-                est_backlog_ns: 0,
-                blocked_until: 0,
-                batches: 0,
-                steps: 0,
-                busy_ns: 0,
-                killed_batches: 0,
-                preempted_batches: 0,
-                wasted_ns: 0,
-            }],
-            seqs: Vec::new(),
-            events: BinaryHeap::new(),
-            audit: Audit::default(),
-            batch_log: Vec::new(),
-            in_flight_requests: 0,
-            next_batch_id: 1,
-            horizon_ns: 0,
-            rejected_at_arrival: Vec::new(),
-        };
+        let mut sim = Sim::new(&cfg, vec![shard], 0);
+        sim.next_batch_id = 1;
         sim.seqs.push(seq(BULK, SeqPhase::Decode, 16, u64::MAX));
         sim.shards[0].busy = Some(InFlight {
             batch_id: 0,

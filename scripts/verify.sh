@@ -65,6 +65,19 @@ cmp "$SOAK_SCRATCH/results/BENCH_soak.json" "$SOAK_SCRATCH/soak.t1.json" \
 python3 scripts/check_rows.py soak "$SOAK_SCRATCH/results/BENCH_soak.json"
 rm -rf "$SOAK_SCRATCH"
 
+echo "== serving artifacts (full serve and soak runs byte-identical to results/) =="
+# Both artifacts are deterministic, so a change that moves a modelled
+# serving number must regenerate them in the same commit. Regenerated in a
+# scratch directory and compared, never written over the committed files.
+SERVE_SCRATCH=$(mktemp -d)
+(cd "$SERVE_SCRATCH" && "$REPO_ROOT/target/release/serve_bench" > /dev/null \
+  && "$REPO_ROOT/target/release/serve_soak" > /dev/null)
+for artifact in BENCH_serve.json BENCH_soak.json; do
+  cmp "$SERVE_SCRATCH/results/$artifact" "results/$artifact" \
+    || { echo "serving artifacts: FAILED ($artifact differs from results/)"; exit 1; }
+done
+rm -rf "$SERVE_SCRATCH"
+
 echo "== bench smoke (one call per benchmark, offline) =="
 cargo bench -p picachu-bench --offline -- --smoke
 

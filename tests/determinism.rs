@@ -27,8 +27,8 @@ use picachu_llm::ModelConfig;
 use picachu_nonlinear::NonlinearOp;
 use picachu_num::DataFormat;
 use picachu_serve::{
-    chaos_schedule, run, ArrivalPattern, ChaosConfig, FaultEvent, RetryPolicy, ServeConfig,
-    ServeReport, ShardSpec, Tenant,
+    chaos_schedule, run, ArrivalPattern, ChaosAction, ChaosConfig, ChaosEvent, RetryPolicy,
+    ServeConfig, ServeReport, ShardSpec, Tenant,
 };
 use std::sync::Arc;
 
@@ -91,8 +91,8 @@ fn threads_1_and_8_are_bit_identical() {
 }
 
 /// One full serving run over a PICACHU + Gemmini pool, with a mid-trace
-/// fault so the degraded-compile path (also parallel) is on the critical
-/// path of the schedule.
+/// degradation so the degraded-compile path (also parallel) is on the
+/// critical path of the schedule.
 fn serve_snapshot(threads: usize) -> ServeReport {
     runtime::set_thread_override(Some(threads));
     let cfg = ServeConfig {
@@ -100,10 +100,10 @@ fn serve_snapshot(threads: usize) -> ServeReport {
         n_requests: 30,
         max_batch: 4,
         log_batches: true,
-        faults: vec![FaultEvent {
+        chaos: vec![ChaosEvent {
             at_ns: 40_000_000,
             shard: 0,
-            plan: FaultPlan::dead_tile(5),
+            action: ChaosAction::Degrade(FaultPlan::dead_tile(5)),
         }],
         ..ServeConfig::new(
             vec![Tenant {

@@ -15,8 +15,8 @@
 use picachu::faults::FaultPlan;
 use picachu_llm::ModelConfig;
 use picachu_serve::{
-    run, summarize, ArrivalPattern, ChaosAction, ChaosEvent, FaultEvent, Outcome, RejectReason,
-    RetryPolicy, ServeConfig, ShardSpec, Tenant,
+    run, summarize, ArrivalPattern, ChaosAction, ChaosEvent, Outcome, RejectReason, RetryPolicy,
+    ServeConfig, ShardSpec, Tenant,
 };
 use picachu_testkit::prop::{check_result, replay, Gen, PropError, PropResult};
 use picachu_testkit::{prop_assert, prop_assert_eq, prop_check};
@@ -43,11 +43,16 @@ fn total_outage() -> FaultPlan {
     plan
 }
 
+/// A chaos event degrading shard 0 with `plan` at `at_ns`.
+fn degrade(at_ns: u64, plan: FaultPlan) -> ChaosEvent {
+    ChaosEvent { at_ns, shard: 0, action: ChaosAction::Degrade(plan) }
+}
+
 /// Draws a random serving config: 1–2 tenants (random priorities) over
 /// tiny models, one of the three arrival patterns, a 1–3 shard pool over
 /// all six device kinds, random batching/admission knobs, sometimes a
-/// mid-trace fault, and sometimes chaos events, preemption, shedding and a
-/// random retry budget.
+/// mid-trace degradation, and sometimes more chaos events, preemption,
+/// shedding and a random retry budget.
 fn draw_config(g: &mut Gen) -> ServeConfig {
     let mut tenants = vec![Tenant {
         name: "alpha",
@@ -86,41 +91,35 @@ fn draw_config(g: &mut Gen) -> ServeConfig {
             _ => ShardSpec::CgraBase,
         })
         .collect();
-    // fixed fault-plan menu so degraded PICACHU compiles hit the process
-    // cache across cases instead of re-mapping novel fault sets each time
-    let faults = if g.draw(0..2u32) == 1 {
+    // a small fixed fault-plan menu keeps the degraded compiles few
+    let mut chaos = Vec::new();
+    if g.draw(0..2u32) == 1 {
         let plan = match g.draw(0..3u32) {
             0 => FaultPlan::dead_tile(5),
             1 => FaultPlan::dead_link(5, 6),
             _ => total_outage(),
         };
-        vec![FaultEvent {
+        chaos.push(ChaosEvent {
             at_ns: g.draw(1..200u64) * 50_000,
             shard: g.draw(0..n_shards),
-            plan,
-        }]
-    } else {
-        Vec::new()
-    };
+            action: ChaosAction::Degrade(plan),
+        });
+    }
     // chaos events are drawn raw (unsorted, unpaired) on purpose: the
     // scheduler must hold its invariants through any interleaving,
     // including a crash with no recover or a recover of a healthy shard
-    let chaos = if g.draw(0..2u32) == 1 {
-        (0..g.draw(1..4usize))
-            .map(|_| ChaosEvent {
-                at_ns: g.draw(1..200u64) * 50_000,
-                shard: g.draw(0..n_shards),
-                action: match g.draw(0..4u32) {
-                    0 => ChaosAction::Crash,
-                    1 => ChaosAction::Recover,
-                    2 => ChaosAction::CompileOutage { for_ns: g.draw(1..100u64) * 10_000 },
-                    _ => ChaosAction::Degrade(FaultPlan::dead_tile(5)),
-                },
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+    if g.draw(0..2u32) == 1 {
+        chaos.extend((0..g.draw(1..4usize)).map(|_| ChaosEvent {
+            at_ns: g.draw(1..200u64) * 50_000,
+            shard: g.draw(0..n_shards),
+            action: match g.draw(0..4u32) {
+                0 => ChaosAction::Crash,
+                1 => ChaosAction::Recover,
+                2 => ChaosAction::CompileOutage { for_ns: g.draw(1..100u64) * 10_000 },
+                _ => ChaosAction::Degrade(FaultPlan::dead_tile(5)),
+            },
+        }));
+    }
     ServeConfig {
         seed: g.draw(0..u32::MAX) as u64,
         tenants,
@@ -129,7 +128,6 @@ fn draw_config(g: &mut Gen) -> ServeConfig {
         pool,
         max_batch: g.draw(1..9usize),
         max_in_flight: g.draw(2..64usize),
-        faults,
         chaos,
         retry: RetryPolicy::new(g.draw(0..4u32), g.draw(1..10u64) * 100_000),
         preempt: g.draw(0..2u32) == 1,
@@ -308,7 +306,7 @@ fn degraded_shard_rebalances_and_healthy_shards_stay_bit_identical() {
     // kill shard 0 mid-trace
     let fault_at = clean.horizon_ns / 3;
     let faulted = run(&ServeConfig {
-        faults: vec![FaultEvent { at_ns: fault_at, shard: 0, plan: total_outage() }],
+        chaos: vec![degrade(fault_at, total_outage())],
         ..base.clone()
     });
     faulted.audit.check().unwrap();
@@ -329,7 +327,7 @@ fn degraded_shard_rebalances_and_healthy_shards_stay_bit_identical() {
         40
     );
     assert_eq!(faulted.audit.completed, 40, "healthy shard absorbs the whole trace");
-    assert!(!faulted.shards[0].final_capacity_factor.is_finite());
+    assert!(!faulted.shards[0].in_service);
 
     // fault isolation: the healthy shard's measured report is bit-identical
     // to its fault-free run — same cost table, same backend
@@ -338,14 +336,14 @@ fn degraded_shard_rebalances_and_healthy_shards_stay_bit_identical() {
     // and it did at least as many steps as before (it inherited work)
     assert!(faulted.shards[1].steps >= clean.shards[1].steps);
 
-    // a *degraded* (not dead) shard stays in service at reduced capacity
+    // a *degraded* (not dead) shard stays in service at its re-measured
+    // prices
     let degraded = run(&ServeConfig {
-        faults: vec![FaultEvent { at_ns: fault_at, shard: 0, plan: FaultPlan::dead_tile(5) }],
+        chaos: vec![degrade(fault_at, FaultPlan::dead_tile(5))],
         ..base
     });
     degraded.audit.check().unwrap();
-    assert!(degraded.shards[0].final_capacity_factor >= 1.0);
-    assert!(degraded.shards[0].final_capacity_factor.is_finite());
+    assert!(degraded.shards[0].in_service);
     assert_eq!(degraded.audit.completed, 40);
 }
 
@@ -360,31 +358,59 @@ fn pool_wide_outage_rejects_typed() {
         slo_ns: u64::MAX,
         priority: 0,
     }];
-    let cfg = ServeConfig {
+    let base = ServeConfig {
         seed: 7,
         n_requests: 30,
-        faults: vec![FaultEvent { at_ns: 1, shard: 0, plan: total_outage() }],
+        log_batches: true,
         ..ServeConfig::new(
             tenants,
             ArrivalPattern::Bursty { mean_gap_ns: 1e5, mean_burst: 4 },
             vec![ShardSpec::Gemmini],
         )
     };
+    // land the outage while a request waits in the queue: one ns after
+    // the first arrival a clean run had to queue
+    let clean = run(&base);
+    let waited = clean
+        .batch_log
+        .iter()
+        .find(|b| b.prefill && b.start_ns > clean.records[b.members[0] as usize].arrival_ns)
+        .expect("a clean run queues some request")
+        .members[0] as usize;
+    let fault_at = clean.records[waited].arrival_ns + 1;
+    let cfg = ServeConfig { chaos: vec![degrade(fault_at, total_outage())], ..base };
     let report = run(&cfg);
     report.audit.check().unwrap();
-    // pool of 1, faulted at t=1: everything after is a typed NoCapacity
-    // rejection, nothing hangs, nothing panics
+    // pool of 1, faulted for good: nothing hangs, nothing panics, every
+    // request ends in a typed outcome
     assert_eq!(report.records.len(), 30);
-    let mut rejected = 0;
     for r in &report.records {
-        if let Outcome::Rejected { reason, .. } = &r.outcome {
-            assert_eq!(*reason, RejectReason::NoCapacity);
-            rejected += 1;
+        if r.arrival_ns >= fault_at {
+            // post-fault arrivals never get in
+            assert_eq!(
+                r.outcome,
+                Outcome::Rejected {
+                    at_ns: r.arrival_ns,
+                    reason: RejectReason::NoCapacity,
+                    after_admission: false
+                },
+                "request {}",
+                r.id
+            );
         }
     }
-    assert!(rejected >= 29, "at most the t=0 arrivals can slip in: {rejected}");
+    // the queued request was displaced into the retry ladder, found no
+    // shard on any attempt and was abandoned with its budget spent
+    assert_eq!(
+        report.records[waited].outcome,
+        Outcome::Abandoned {
+            at_ns: fault_at + cfg.retry.total_backoff(cfg.retry.max_attempts),
+            attempts: cfg.retry.max_attempts
+        }
+    );
+    assert_eq!(report.audit.retries, u64::from(cfg.retry.max_attempts) * report.audit.abandoned);
     let s = summarize(&report);
-    assert_eq!(s.rejected, rejected as u64);
+    assert_eq!(s.completed + s.rejected + s.abandoned, 30);
 }
 
 #[test]
