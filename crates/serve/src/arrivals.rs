@@ -231,6 +231,28 @@ mod tests {
         }
     }
 
+    /// The scheduler streams arrivals straight from the trace, merging them
+    /// with its event heap, which is only exact if the trace is sorted by
+    /// `(arrival_ns, id)` — the order the heap would pop them in.
+    #[test]
+    fn traces_are_sorted_by_arrival_then_id() {
+        let ts = tenants();
+        for seed in [0, 1, 7, 42, 9003] {
+            for pattern in [
+                ArrivalPattern::Poisson { mean_gap_ns: 1e5 },
+                ArrivalPattern::Bursty { mean_gap_ns: 1e5, mean_burst: 8 },
+                ArrivalPattern::Diurnal { mean_gap_ns: 1e5, period_ns: 1e7 },
+            ] {
+                let reqs = arrival_trace(pattern, &ts, 2000, seed);
+                assert!(
+                    reqs.windows(2).all(|w| (w[0].arrival_ns, w[0].id) < (w[1].arrival_ns, w[1].id)),
+                    "{} seed {seed}",
+                    pattern.label()
+                );
+            }
+        }
+    }
+
     #[test]
     fn tenant_weights_respected() {
         let reqs =

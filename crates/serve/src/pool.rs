@@ -6,7 +6,12 @@
 //! step costs once — one `execute_trace` per tenant model to warm kernel
 //! caches, then the [`Accelerator::estimate_trace`] capacity hint (exact
 //! when warm, by the backend-parity contract) fills a table over bucketed
-//! (tenant, context, batch) shapes. The healthy table is a pure function of
+//! (tenant, context, batch) shapes. The table is dense per tenant — one
+//! prefill cost and a `[context bucket − prompt bucket][log2 batch]` decode
+//! array — so every price is an index computation, never a hash. A context
+//! past the probed range scales the widest bucket's entry by 2^Δbucket; a
+//! prefill at another bucket, or an unknown tenant, costs 1. The healthy
+//! table is a pure function of
 //! `(spec, tenants, max_batch)`: it never changes when faults arrive, which
 //! is what lets the degraded-capacity tests assert healthy shards'
 //! measurements stay bit-identical to their fault-free runs.
@@ -29,7 +34,7 @@ use picachu_baselines::{CpuModel, GemminiModel, GpuModel, HomogeneousCgraModel, 
 use picachu_faults::FaultPlan;
 use picachu_llm::trace::{batched_decode_trace, model_trace, TraceOp};
 use picachu_nonlinear::NonlinearOp;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::convert::Infallible;
 use std::sync::Arc;
 
@@ -164,38 +169,118 @@ pub struct ShardReport {
     pub wasted_ns: u64,
 }
 
-/// Step costs in ns, one per cost key.
-type CostTable = HashMap<CostKey, u64>;
+/// One tenant's step costs in ns: its prefill, and a decode step for every
+/// context bucket from the prompt's to the widest probed, at every
+/// power-of-two batch up to the shard's maximum.
+#[derive(Debug, Clone, PartialEq)]
+struct TenantCosts {
+    /// log2 of the prompt bucket: the prefill's shape and the first decode
+    /// context bucket.
+    prompt_bucket: u32,
+    /// Cost of the prefill step.
+    prefill: u64,
+    /// Decode costs, row-major `[bucket − prompt_bucket][log2 batch]`.
+    decode: Vec<u64>,
+}
+
+/// Step costs in ns for every shape the tenants can present, dense per
+/// tenant.
+#[derive(Debug, Clone, PartialEq)]
+struct CostTable {
+    /// Batch classes per decode bucket: log2 of the largest batch, plus one.
+    batch_classes: usize,
+    tenants: Vec<TenantCosts>,
+}
+
+impl CostTable {
+    /// Cost of a decode step of `tenant` at context bucket `bucket` and
+    /// batch bucket `batch_log2`, clamped to the largest batch probed. A
+    /// context bucket outside the probed range charges the widest probed
+    /// bucket scaled by the bucket ratio (decode beyond the declared max,
+    /// still deterministic); an unknown tenant costs 1.
+    fn decode(&self, tenant: usize, bucket: u32, batch_log2: u32) -> u64 {
+        let Some(t) = self.tenants.get(tenant) else { return 1 };
+        let class = (batch_log2 as usize).min(self.batch_classes - 1);
+        let widest = t.decode.len() / self.batch_classes - 1;
+        let row = bucket.checked_sub(t.prompt_bucket).map(|r| r as usize);
+        match row.filter(|&r| r <= widest) {
+            Some(r) => t.decode[r * self.batch_classes + class],
+            None => {
+                let widest_bucket = t.prompt_bucket + widest as u32;
+                t.decode[widest * self.batch_classes + class]
+                    .saturating_mul(1 << bucket.saturating_sub(widest_bucket))
+            }
+        }
+    }
+
+    /// Cost of `tenant`'s prefill at bucket `bucket`; a prefill at any
+    /// other bucket than the prompt's, or of an unknown tenant, costs 1.
+    fn prefill(&self, tenant: usize, bucket: u32) -> u64 {
+        match self.tenants.get(tenant) {
+            Some(t) if t.prompt_bucket == bucket => t.prefill,
+            _ => 1,
+        }
+    }
+
+    /// Every entry with its key, tenant by tenant: the prefill, then the
+    /// decode steps bucket by bucket, batch by batch.
+    fn entries(&self) -> impl Iterator<Item = (CostKey, u64)> + '_ {
+        self.tenants.iter().enumerate().flat_map(move |(tenant, t)| {
+            let prefill = CostKey { tenant, prefill: true, bucket: t.prompt_bucket, batch: 1 };
+            let decode = t.decode.iter().enumerate().map(move |(i, &c)| {
+                let key = CostKey {
+                    tenant,
+                    prefill: false,
+                    bucket: t.prompt_bucket + (i / self.batch_classes) as u32,
+                    batch: 1 << (i % self.batch_classes),
+                };
+                (key, c)
+            });
+            std::iter::once((prefill, t.prefill)).chain(decode)
+        })
+    }
+
+    /// The same shapes with every cost mapped through `f`.
+    fn map(&self, f: impl Fn(u64) -> u64) -> CostTable {
+        CostTable {
+            batch_classes: self.batch_classes,
+            tenants: self
+                .tenants
+                .iter()
+                .map(|t| TenantCosts {
+                    prompt_bucket: t.prompt_bucket,
+                    prefill: f(t.prefill),
+                    decode: t.decode.iter().map(|&c| f(c)).collect(),
+                })
+                .collect(),
+        }
+    }
+}
 
 /// Prices every shape the tenants can present — the prompt bucket for
 /// prefill; for decode, context buckets from prompt to prompt + max decode
-/// at batch sizes in powers of two up to `max_batch_pow2` — with `price`
+/// at `batch_classes` batch sizes, the powers of two from 1 — with `price`
 /// giving one step trace's cost in ns. Stops at the first trace `price`
 /// refuses.
 fn measure<E>(
     tenants: &[Tenant],
-    max_batch_pow2: u32,
+    batch_classes: usize,
     mut price: impl FnMut(&[TraceOp]) -> Result<f64, E>,
 ) -> Result<CostTable, E> {
-    let mut table = CostTable::new();
-    for (tenant, t) in tenants.iter().enumerate() {
-        let pb = bucket_log2(t.prompt);
-        let mut keys = vec![CostKey { tenant, prefill: true, bucket: pb, batch: 1 }];
-        for bucket in pb..=bucket_log2(t.prompt + t.decode.1) {
-            let mut batch = 1u32;
-            while batch <= max_batch_pow2 {
-                keys.push(CostKey { tenant, prefill: false, bucket, batch });
-                batch *= 2;
+    let mut cost = |trace: Vec<TraceOp>| -> Result<u64, E> {
+        Ok((price(&trace)?.ceil() as u64).max(1))
+    };
+    let mut table = CostTable { batch_classes, tenants: Vec::with_capacity(tenants.len()) };
+    for t in tenants {
+        let prompt_bucket = bucket_log2(t.prompt);
+        let prefill = cost(model_trace(&t.model, 1usize << prompt_bucket))?;
+        let mut decode = Vec::new();
+        for bucket in prompt_bucket..=bucket_log2(t.prompt + t.decode.1) {
+            for class in 0..batch_classes {
+                decode.push(cost(batched_decode_trace(&t.model, 1usize << bucket, 1 << class))?);
             }
         }
-        for key in keys {
-            let trace = if key.prefill {
-                model_trace(&t.model, 1usize << key.bucket)
-            } else {
-                batched_decode_trace(&t.model, 1usize << key.bucket, key.batch as usize)
-            };
-            table.insert(key, (price(&trace)?.ceil() as u64).max(1));
-        }
+        table.tenants.push(TenantCosts { prompt_bucket, prefill, decode });
     }
     Ok(table)
 }
@@ -215,7 +300,6 @@ pub struct Shard {
     /// The table every price reads: the healthy one or the applied plan's;
     /// `None` while the shard is out of service.
     current: Option<CostTable>,
-    max_batch_pow2: u32,
     /// This shard's compile cache: its fault path keeps the healthy kernels
     /// for repair, and a recurring plan compiles once.
     cache: Arc<CompileCache>,
@@ -227,13 +311,13 @@ impl Shard {
     pub fn new(id: usize, spec: ShardSpec, tenants: &[Tenant], max_batch: usize) -> Shard {
         let cache = Arc::new(CompileCache::new());
         let mut backend = spec.build_warmed_on(tenants, cache.clone());
-        let max_batch_pow2 = max_batch.max(1).next_power_of_two() as u32;
         // one real execution per tenant model warms kernel caches, so every
         // estimate below is exact by the parity contract
         for t in tenants {
             backend.execute_trace(&batched_decode_trace(&t.model, t.prompt.max(1), 1));
         }
-        let Ok(healthy) = measure::<Infallible>(tenants, max_batch_pow2, |trace| {
+        let batch_classes = bucket_log2(max_batch) as usize + 1;
+        let Ok(healthy) = measure::<Infallible>(tenants, batch_classes, |trace| {
             Ok(backend.estimate_trace(trace))
         });
         Shard {
@@ -243,7 +327,6 @@ impl Shard {
             fault: FaultPlan::none(),
             current: Some(healthy.clone()),
             healthy,
-            max_batch_pow2,
             cache,
         }
     }
@@ -281,26 +364,7 @@ impl Shard {
     /// # Panics
     /// Panics if the shard is out of service.
     pub fn decode_cost(&self, tenant: usize, context: usize, batch: usize) -> u64 {
-        let key = CostKey {
-            tenant,
-            prefill: false,
-            bucket: bucket_log2(context),
-            batch: (batch.max(1).next_power_of_two() as u32).min(self.max_batch_pow2),
-        };
-        let table = self.table();
-        table.get(&key).copied().unwrap_or_else(|| {
-            // context outgrew the probed range (decode beyond the declared
-            // max): charge the largest probed bucket of this tenant,
-            // scaled by the bucket ratio — still deterministic
-            let widest = table
-                .iter()
-                .filter(|(k, _)| k.tenant == tenant && !k.prefill && k.batch == key.batch)
-                .max_by_key(|(k, _)| k.bucket);
-            match widest {
-                Some((k, &c)) => c.saturating_mul(1 << (key.bucket.saturating_sub(k.bucket))),
-                None => 1,
-            }
-        })
+        self.table().decode(tenant, bucket_log2(context), bucket_log2(batch))
     }
 
     /// Cost of a prefill step for `tenant`.
@@ -308,9 +372,7 @@ impl Shard {
     /// # Panics
     /// Panics if the shard is out of service.
     pub fn prefill_cost(&self, tenant: usize, prompt: usize) -> u64 {
-        let key =
-            CostKey { tenant, prefill: true, bucket: bucket_log2(prompt), batch: 1 };
-        self.table().get(&key).copied().unwrap_or(1)
+        self.table().prefill(tenant, bucket_log2(prompt))
     }
 
     /// Applies `plan`, replacing the shard's current table.
@@ -331,7 +393,7 @@ impl Shard {
             match &self.spec {
                 ShardSpec::Picachu(cfg) => {
                     let mut engine = PicachuEngine::with_cache(cfg.clone(), self.cache.clone());
-                    measure(tenants, self.max_batch_pow2, |trace| {
+                    measure(tenants, self.healthy.batch_classes, |trace| {
                         engine.try_execute_trace_faulted(trace, plan).map(|b| b.total())
                     })
                     .ok()
@@ -342,8 +404,7 @@ impl Shard {
                         plan.dead_tiles.iter().filter(|&&t| t < NOMINAL_UNITS).count();
                     (dead < NOMINAL_UNITS).then(|| {
                         let factor = NOMINAL_UNITS as f64 / (NOMINAL_UNITS - dead) as f64;
-                        let scale = |c: u64| ((c as f64) * factor).ceil() as u64;
-                        self.healthy.iter().map(|(&k, &c)| (k, scale(c))).collect()
+                        self.healthy.map(|c| ((c as f64) * factor).ceil() as u64)
                     })
                 }
             }
@@ -353,7 +414,7 @@ impl Shard {
 
     /// Snapshot of the measured healthy cost table, sorted by key.
     pub fn cost_table(&self) -> Vec<(CostKey, u64)> {
-        let mut v: Vec<(CostKey, u64)> = self.healthy.iter().map(|(k, &c)| (*k, c)).collect();
+        let mut v: Vec<(CostKey, u64)> = self.healthy.entries().collect();
         v.sort_unstable();
         v
     }
@@ -434,8 +495,8 @@ mod tests {
         // every entry is the key's own trace run on the degraded mappings
         let mut engine = PicachuEngine::new(EngineConfig::default());
         let current = s.current.clone().expect("in service");
-        assert_eq!(current.len(), s.healthy.len());
-        for (key, &cost) in &current {
+        assert!(current.entries().map(|(k, _)| k).eq(s.healthy.entries().map(|(k, _)| k)));
+        for (key, cost) in current.entries() {
             let t = &ts[key.tenant];
             let trace = if key.prefill {
                 model_trace(&t.model, 1usize << key.bucket)
@@ -462,11 +523,61 @@ mod tests {
         let mut s = Shard::new(0, ShardSpec::Gemmini, &ts, 4);
         s.apply_fault(&FaultPlan::dead_tile(0).with_dead_tile(1), &ts);
         let current = s.current.clone().expect("in service");
-        for (key, &healthy) in &s.healthy {
-            assert_eq!(current[key], (healthy as f64 * 16.0 / 14.0).ceil() as u64, "{key:?}");
+        assert_eq!(current.entries().count(), s.healthy.entries().count());
+        for ((key, cost), (healthy_key, healthy)) in current.entries().zip(s.healthy.entries()) {
+            assert_eq!(key, healthy_key);
+            assert_eq!(cost, (healthy as f64 * 16.0 / 14.0).ceil() as u64, "{key:?}");
         }
         s.apply_fault(&all_dead(), &ts);
         assert!(!s.in_service());
+    }
+
+    /// Pins the lookup semantics of `prefill_cost` / `decode_cost` on a
+    /// two-tenant shard: exact entries, batch quantization and clamping,
+    /// and every fallback.
+    #[test]
+    fn cost_lookups_answer_every_entry_and_keep_their_fallbacks() {
+        let wide = Tenant { name: "wide", prompt: 100, decode: (2, 40), ..tiny_tenant() };
+        let ts = vec![tiny_tenant(), wide];
+        let s = Shard::new(0, ShardSpec::Gemmini, &ts, 8);
+        let table = s.cost_table();
+        let entry = |tenant: usize, prefill: bool, bucket: u32, batch: u32| {
+            let key = CostKey { tenant, prefill, bucket, batch };
+            table.iter().find(|(k, _)| *k == key).map(|&(_, c)| c).expect("probed key")
+        };
+        // every key answers with its own entry
+        assert_eq!(table.len(), 2 * (1 + 2 * 4), "one prefill + 2 buckets × 4 batches each");
+        for &(k, c) in &table {
+            let got = if k.prefill {
+                s.prefill_cost(k.tenant, 1 << k.bucket)
+            } else {
+                s.decode_cost(k.tenant, 1 << k.bucket, k.batch as usize)
+            };
+            assert_eq!(got, c, "{k:?}");
+        }
+        assert_eq!(s.prefill_cost(1, 100), entry(1, true, 7, 1));
+        assert_eq!(s.decode_cost(1, 130, 2), entry(1, false, 8, 2));
+        // batches quantize up to their power of two and clamp at max_batch
+        assert_eq!(s.decode_cost(0, 32, 0), entry(0, false, 5, 1));
+        assert_eq!(s.decode_cost(0, 32, 3), entry(0, false, 5, 4));
+        assert_eq!(s.decode_cost(0, 32, 20), entry(0, false, 5, 8));
+        // a context past the probed range scales the widest bucket by 2^Δ
+        for batch in [1u32, 2, 4, 8] {
+            let far = s.decode_cost(0, 1 << 14, batch as usize);
+            assert_eq!(far, entry(0, false, 6, batch) << (14 - 6), "batch {batch}");
+            assert_eq!(
+                s.decode_cost(1, 1 << 14, batch as usize),
+                entry(1, false, 8, batch) << (14 - 8)
+            );
+        }
+        // a context below the prompt bucket reads the widest bucket as is
+        assert_eq!(s.decode_cost(1, 1, 4), entry(1, false, 8, 4));
+        // a prefill at another bucket, or any unknown tenant, costs 1
+        assert_eq!(s.prefill_cost(0, 64), 1);
+        assert_eq!(s.prefill_cost(1, 32), 1);
+        assert_eq!(s.prefill_cost(2, 32), 1);
+        assert_eq!(s.decode_cost(2, 32, 1), 1);
+        assert_eq!(s.decode_cost(2, 1 << 14, 8), 1);
     }
 
     #[test]

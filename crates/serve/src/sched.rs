@@ -43,11 +43,16 @@
 //! (its members return to the queue head; the partial step never commits)
 //! as soon as a strictly-higher-priority prefill would otherwise miss a
 //! TTFT bound of `slo / 4`. Urgency is resolved through an *exact*
-//! per-shard index — a `BTreeMap` counting queued sequences per
-//! `(priority class, phase)` bucket, maintained at every queue mutation —
+//! per-shard index — one dense counter of queued sequences per
+//! `(priority class, phase)` slot, maintained at every queue mutation —
 //! so a TTFT-threatened prefill is found no matter how deep it sits in the
 //! queue (the old implementation scanned only the first 64 positions and
 //! went blind past them).
+//!
+//! The event heap holds only what the loop itself schedules: completions,
+//! retries, resumes and chaos events. Arrivals stream from the trace,
+//! which is sorted in the heap's own order, and the loop takes whichever
+//! of the heap's top and the next arrival comes first.
 //!
 //! Everything is a pure function of the [`ServeConfig`] (including its
 //! seed): no wall clock, no ambient randomness, no hash-order iteration on
@@ -61,7 +66,6 @@ use crate::chaos::{ChaosAction, ChaosEvent};
 use crate::pool::{bucket_log2, Shard, ShardReport, ShardSpec};
 use picachu_faults::{FaultPlan, RetryPolicy};
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
@@ -404,13 +408,13 @@ struct InFlight {
 struct ShardState {
     shard: Shard,
     queue: VecDeque<usize>,
-    /// Exact urgency index over `queue`: `(priority class, is_prefill)` →
-    /// number of queued sequences in that bucket. Zero-count entries are
-    /// removed, so the first key *is* the most urgent bucket present. Every
-    /// queue mutation goes through the `enqueue_*`/`dequeue_*` helpers that
-    /// keep this in sync; a sequence's bucket is stable while it waits
-    /// (phase only flips between batches, never in the queue).
-    urgency: BTreeMap<(u8, bool), usize>,
+    /// Exact urgency index over `queue`: the number of queued sequences in
+    /// each `(priority class, phase)` slot, at index `2 · priority +
+    /// is_prefill`, so the first non-zero slot *is* the most urgent one
+    /// present. Every queue mutation keeps this in sync; a sequence's slot
+    /// is stable while it waits (phase only flips between batches, never
+    /// in the queue).
+    urgency: Vec<u32>,
     busy: Option<InFlight>,
     est_backlog_ns: u64,
     /// Compile-outage gate: no new batch starts before this instant.
@@ -452,17 +456,29 @@ pub fn run(cfg: &ServeConfig) -> ServeReport {
         sim.events.push(Reverse(Ev { t: c.at_ns, class: CLASS_FAULT, tie, payload: tie }));
     }
     let mut records: Vec<Option<RequestRecord>> = vec![None; requests.len()];
-    for r in &requests {
-        sim.events.push(Reverse(Ev {
-            t: r.arrival_ns,
-            class: CLASS_ARRIVAL,
-            tie: r.id,
-            payload: r.id,
-        }));
-    }
+
+    // Arrivals stream from the trace instead of sitting in the heap: the
+    // trace is sorted by `(arrival_ns, id)`, which is the order the heap
+    // would pop their events in, so taking the smaller of the heap's top and
+    // the next arrival replays exactly the pop order of one heap holding
+    // both.
+    debug_assert!(requests
+        .windows(2)
+        .all(|w| (w[0].arrival_ns, w[0].id) < (w[1].arrival_ns, w[1].id)));
+    let mut arrivals = requests
+        .iter()
+        .map(|r| Ev { t: r.arrival_ns, class: CLASS_ARRIVAL, tie: r.id, payload: r.id })
+        .peekable();
 
     let mut events_processed: u64 = 0;
-    while let Some(Reverse(ev)) = sim.events.pop() {
+    loop {
+        let ev = match (sim.events.peek(), arrivals.peek()) {
+            (Some(Reverse(top)), Some(next)) if top < next => sim.events.pop(),
+            (_, Some(_)) => arrivals.next().map(Reverse),
+            (Some(_), None) => sim.events.pop(),
+            (None, None) => None,
+        };
+        let Some(Reverse(ev)) = ev else { break };
         events_processed += 1;
         sim.horizon_ns = sim.horizon_ns.max(ev.t);
         match ev.class {
@@ -533,12 +549,13 @@ pub fn run(cfg: &ServeConfig) -> ServeReport {
 impl<'a> Sim<'a> {
     /// An idle pool of `shards` about to serve `generated` requests.
     fn new(cfg: &'a ServeConfig, shards: Vec<Shard>, generated: usize) -> Sim<'a> {
+        let classes = cfg.tenants.iter().map(|t| usize::from(t.priority) + 1).max().unwrap_or(0);
         let shards = shards
             .into_iter()
             .map(|shard| ShardState {
                 shard,
                 queue: VecDeque::new(),
-                urgency: BTreeMap::new(),
+                urgency: vec![0; 2 * classes],
                 busy: None,
                 est_backlog_ns: 0,
                 blocked_until: 0,
@@ -868,39 +885,34 @@ impl<'a> Sim<'a> {
         s.shard.in_service() && s.busy.is_none() && now >= s.blocked_until
     }
 
-    /// Urgency-index bucket of a sequence: priority class first (BTreeMap
-    /// order makes the smallest key the most urgent), phase second.
-    fn urgency_key(&self, seq_idx: usize) -> (u8, bool) {
+    /// Urgency-index slot of a sequence: priority class first (the lowest
+    /// slot is the most urgent), phase second.
+    fn urgency_slot(&self, seq_idx: usize) -> usize {
         let seq = &self.seqs[seq_idx];
-        (self.cfg.tenants[seq.req.tenant].priority, seq.phase == SeqPhase::Prefill)
+        let priority = usize::from(self.cfg.tenants[seq.req.tenant].priority);
+        2 * priority + usize::from(seq.phase == SeqPhase::Prefill)
     }
 
     /// Enqueues `seq_idx` at the tail of `sid`'s queue, charging the index.
     fn enqueue_back(&mut self, sid: usize, seq_idx: usize) {
-        let key = self.urgency_key(seq_idx);
+        let slot = self.urgency_slot(seq_idx);
         let s = &mut self.shards[sid];
         s.queue.push_back(seq_idx);
-        *s.urgency.entry(key).or_insert(0) += 1;
+        s.urgency[slot] += 1;
     }
 
     /// Enqueues `seq_idx` at the head of `sid`'s queue, charging the index.
     fn enqueue_front(&mut self, sid: usize, seq_idx: usize) {
-        let key = self.urgency_key(seq_idx);
+        let slot = self.urgency_slot(seq_idx);
         let s = &mut self.shards[sid];
         s.queue.push_front(seq_idx);
-        *s.urgency.entry(key).or_insert(0) += 1;
+        s.urgency[slot] += 1;
     }
 
-    /// Removes one index charge for `seq_idx` (zero-count buckets drop out
-    /// so the first remaining key is always the most urgent one present).
+    /// Removes one index charge for `seq_idx`.
     fn uncharge_urgency(&mut self, sid: usize, seq_idx: usize) {
-        let key = self.urgency_key(seq_idx);
-        if let Some(c) = self.shards[sid].urgency.get_mut(&key) {
-            *c -= 1;
-            if *c == 0 {
-                self.shards[sid].urgency.remove(&key);
-            }
-        }
+        let slot = self.urgency_slot(seq_idx);
+        self.shards[sid].urgency[slot] -= 1;
     }
 
     /// Pops the head of `sid`'s queue, discharging the index.
@@ -920,19 +932,20 @@ impl<'a> Sim<'a> {
     /// Empties `sid`'s queue (fault displacement), resetting the index.
     fn drain_queue(&mut self, sid: usize) -> Vec<usize> {
         let s = &mut self.shards[sid];
-        s.urgency.clear();
+        s.urgency.fill(0);
         s.queue.drain(..).collect()
     }
 
     /// Queue position of the most urgent waiting sequence on `sid`: lowest
     /// priority class wins, FIFO within a class. The class comes from the
-    /// exact urgency index (first key = most urgent bucket present, at any
-    /// queue depth); the position is the class's first — most senior —
-    /// occupant. With every tenant in one class this is always position 0 —
-    /// plain FIFO, bit-identical to PR 6.
+    /// exact urgency index (first non-zero slot = most urgent class
+    /// present, at any queue depth); the position is the class's first —
+    /// most senior — occupant. With every tenant in one class this is
+    /// always position 0 — plain FIFO, bit-identical to PR 6.
     fn urgent_front(&self, sid: usize) -> Option<usize> {
         let s = &self.shards[sid];
-        let &(p, _) = s.urgency.keys().next()?;
+        let slot = s.urgency.iter().position(|&c| c > 0)?;
+        let p = (slot / 2) as u8;
         s.queue
             .iter()
             .position(|&qi| self.cfg.tenants[self.seqs[qi].req.tenant].priority == p)
@@ -949,21 +962,22 @@ impl<'a> Sim<'a> {
         };
         let cap = if phase == SeqPhase::Prefill { 1 } else { self.cfg.max_batch.max(1) };
         let mut members = Vec::with_capacity(cap);
-        // rotate through exactly the original occupants: matches leave the
-        // queue (and the urgency index), the rest re-append in order
-        let qlen = self.shards[sid].queue.len();
-        for _ in 0..qlen {
-            let Some(i) = self.dequeue_front(sid) else { break };
-            let s = &self.seqs[i];
-            if members.len() < cap
+        // the first `cap` matches in queue order leave the queue; the rest
+        // keep their relative order
+        let seqs = &self.seqs;
+        self.shards[sid].queue.retain(|&i| {
+            let s = &seqs[i];
+            let member = members.len() < cap
                 && s.req.tenant == tenant
                 && s.phase == phase
-                && s.bucket() == bucket
-            {
+                && s.bucket() == bucket;
+            if member {
                 members.push(i);
-            } else {
-                self.enqueue_back(sid, i);
             }
+            !member
+        });
+        for &i in &members {
+            self.uncharge_urgency(sid, i);
         }
 
         // batching legality audit: every member shares the key
@@ -1029,13 +1043,15 @@ impl<'a> Sim<'a> {
                 }
                 _ => continue,
             };
-            // exact: the first prefill bucket in the urgency index is the
-            // most urgent queued prefill, no matter how deep it sits
+            // exact: the first non-zero prefill slot of the urgency index is
+            // the most urgent queued prefill, no matter how deep it sits
             let best_prio = self.shards[sid]
                 .urgency
-                .keys()
-                .find(|&&(_, prefill)| prefill)
-                .map(|&(p, _)| p);
+                .iter()
+                .skip(1)
+                .step_by(2)
+                .position(|&c| c > 0)
+                .map(|p| p as u8);
             let Some(p) = best_prio.filter(|&p| p < batch_prio) else { continue };
             let Some(pos) = self.shards[sid].queue.iter().position(|&qi| {
                 let s = &self.seqs[qi];
@@ -1065,10 +1081,10 @@ impl<'a> Sim<'a> {
             self.shards[sid].preempted_batches += 1;
             self.shards[sid].wasted_ns += now.saturating_sub(fl.start_ns);
             // the preempting prefill jumps to the queue head: preemption
-            // must actually start it next, not re-lose the shard to
-            // whatever sits in front of it (the preempted members would
-            // otherwise push it past the urgent-front scan window and the
-            // restarted batch would be preempted again — a livelock)
+            // must actually start it next. Left in place, it could lose the
+            // restarted shard to a more senior decode of its own class
+            // (`urgent_front` picks the first occupant of the class) and
+            // wait out another whole batch.
             let preemptor = self.dequeue_at(sid, pos);
             // preempted members return to the head in original order, so
             // they stay senior to everything behind them; the preemptor
@@ -1235,13 +1251,104 @@ mod tests {
         assert_eq!((sim.shards[0].queue[1], sim.shards[0].queue[2]), (0, 1));
         // the urgency index survived the churn: sum matches the queue and
         // the vip prefill actually starts next
-        let indexed: usize = sim.shards[0].urgency.values().sum();
-        assert_eq!(indexed, sim.shards[0].queue.len());
+        let indexed: u32 = sim.shards[0].urgency.iter().sum();
+        assert_eq!(indexed as usize, sim.shards[0].queue.len());
         sim.start_batch(0, 0);
         let fl = sim.shards[0].busy.as_ref().expect("prefill batch starts");
         assert!(fl.prefill);
         assert_eq!(fl.tenant, VIP);
         assert_eq!(fl.members, vec![vip_idx]);
+    }
+
+    /// Asserts `sid`'s urgency index equals a recount of its queue.
+    fn assert_index_matches_queue(sim: &Sim, sid: usize) {
+        let mut recount = vec![0u32; sim.shards[sid].urgency.len()];
+        for &qi in &sim.shards[sid].queue {
+            recount[sim.urgency_slot(qi)] += 1;
+        }
+        assert_eq!(sim.shards[sid].urgency, recount);
+    }
+
+    /// The urgency index stays an exact count of the queue through batch
+    /// formation, preemption and a drain, and forming a batch leaves the
+    /// non-members in their original relative order.
+    #[test]
+    fn urgency_index_matches_a_recount_through_churn() {
+        const BULK: usize = 0;
+        const MID: usize = 1;
+        const VIP: usize = 2;
+        let cfg = ServeConfig {
+            preempt: true,
+            max_batch: 4,
+            ..ServeConfig::new(
+                vec![
+                    tiny_tenant("bulk", 2, u64::MAX),
+                    tiny_tenant("mid", 1, u64::MAX),
+                    tiny_tenant("vip", 0, 0),
+                ],
+                ArrivalPattern::Poisson { mean_gap_ns: 1e6 },
+                vec![ShardSpec::Gemmini],
+            )
+        };
+        let shard = Shard::new(0, ShardSpec::Gemmini, &cfg.tenants, cfg.max_batch);
+        let vip_slo = 8 * shard.prefill_cost(VIP, 16);
+        let mut sim = Sim::new(&cfg, vec![shard], 0);
+        sim.next_batch_id = 1;
+
+        // decodes at two context buckets and prefills of two classes
+        use SeqPhase::{Decode, Prefill};
+        let mix = [
+            (BULK, Decode, 16),
+            (MID, Decode, 16),
+            (BULK, Prefill, 16),
+            (MID, Decode, 40),
+            (BULK, Decode, 16),
+            (MID, Decode, 16),
+            (BULK, Decode, 40),
+            (MID, Prefill, 16),
+            (MID, Decode, 16),
+            (BULK, Decode, 16),
+            (MID, Decode, 16),
+            (MID, Decode, 16),
+            (MID, Decode, 40),
+        ];
+        for (tenant, phase, prompt) in mix {
+            let i = sim.seqs.len();
+            sim.seqs.push(seq(tenant, phase, prompt, u64::MAX));
+            sim.enqueue_back(0, i);
+        }
+        assert_index_matches_queue(&sim, 0);
+        let before: Vec<usize> = sim.shards[0].queue.iter().copied().collect();
+
+        // the most urgent class is MID's; its first decode keys a batch of
+        // the first four MID decodes at context bucket 4
+        sim.start_batch(0, 0);
+        let members = sim.shards[0].busy.as_ref().expect("batch starts").members.clone();
+        assert_eq!(members, vec![1, 5, 8, 10]);
+        let rest: Vec<usize> = before.into_iter().filter(|i| !members.contains(i)).collect();
+        assert!(sim.shards[0].queue.iter().eq(rest.iter()), "non-members keep their order");
+        assert_index_matches_queue(&sim, 0);
+
+        // a threatened VIP prefill preempts the running MID decode batch
+        sim.shards[0].busy.as_mut().expect("busy").done_at = u64::MAX / 4;
+        let vip_idx = sim.seqs.len();
+        sim.seqs.push(seq(VIP, Prefill, 16, vip_slo));
+        sim.enqueue_back(0, vip_idx);
+        assert_index_matches_queue(&sim, 0);
+        sim.preempt_for_priority(0);
+        assert_eq!(sim.audit.preemptions, 1);
+        let head: Vec<usize> = sim.shards[0].queue.iter().take(5).copied().collect();
+        assert_eq!(head, [vec![vip_idx], members].concat());
+        assert_index_matches_queue(&sim, 0);
+
+        // a drain empties the index; re-enqueueing recharges it
+        let drained = sim.drain_queue(0);
+        assert_eq!(drained.len(), mix.len() + 1);
+        assert_index_matches_queue(&sim, 0);
+        for i in drained {
+            sim.enqueue_back(0, i);
+        }
+        assert_index_matches_queue(&sim, 0);
     }
 
     /// A prefill whose TTFT bound is already unreachable must not preempt

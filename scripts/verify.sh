@@ -65,18 +65,27 @@ cmp "$SOAK_SCRATCH/results/BENCH_soak.json" "$SOAK_SCRATCH/soak.t1.json" \
 python3 scripts/check_rows.py soak "$SOAK_SCRATCH/results/BENCH_soak.json"
 rm -rf "$SOAK_SCRATCH"
 
-echo "== serving artifacts (full serve and soak runs byte-identical to results/) =="
-# Both artifacts are deterministic, so a change that moves a modelled
-# serving number must regenerate them in the same commit. Regenerated in a
-# scratch directory and compared, never written over the committed files.
-SERVE_SCRATCH=$(mktemp -d)
-(cd "$SERVE_SCRATCH" && "$REPO_ROOT/target/release/serve_bench" > /dev/null \
-  && "$REPO_ROOT/target/release/serve_soak" > /dev/null)
-for artifact in BENCH_serve.json BENCH_soak.json; do
-  cmp "$SERVE_SCRATCH/results/$artifact" "results/$artifact" \
-    || { echo "serving artifacts: FAILED ($artifact differs from results/)"; exit 1; }
+echo "== deterministic artifacts (every results/ file regenerated byte-identical) =="
+# Every artifact but the wall-clock BENCH_compile.json is a pure function
+# of the code, so a change that moves one must regenerate it in the same
+# commit (scripts/regen.sh). Regenerated in a scratch directory and
+# compared both ways, never written over the committed files: a produced
+# file that differs or has no committed counterpart fails, and so does a
+# committed artifact nothing produces any more.
+REGEN_SCRATCH=$(mktemp -d)
+scripts/regen.sh "$REGEN_SCRATCH"
+for produced in "$REGEN_SCRATCH"/results/*; do
+  artifact=$(basename "$produced")
+  cmp "$produced" "results/$artifact" \
+    || { echo "deterministic artifacts: FAILED ($artifact differs from results/)"; exit 1; }
 done
-rm -rf "$SERVE_SCRATCH"
+for committed in results/*; do
+  artifact=$(basename "$committed")
+  case "$artifact" in README.md|BENCH_compile.json) continue ;; esac
+  [ -e "$REGEN_SCRATCH/results/$artifact" ] \
+    || { echo "deterministic artifacts: FAILED (nothing produces results/$artifact)"; exit 1; }
+done
+rm -rf "$REGEN_SCRATCH"
 
 echo "== bench smoke (one call per benchmark, offline) =="
 cargo bench -p picachu-bench --offline -- --smoke
