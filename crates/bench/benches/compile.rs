@@ -1,7 +1,8 @@
 //! Parallel-compilation microbench: serial vs parallel (and cold vs warm
 //! compile-cache) wall-clock for the toolchain's dominant cost — modulo-
-//! scheduling the kernel library and running a DSE mini-search — plus
-//! incremental repair against a full re-map after a dead tile.
+//! scheduling the kernel library and running a DSE mini-search — plus the
+//! annealed placer on a 16×16 fabric and incremental repair against a full
+//! re-map after a dead tile.
 //!
 //! Emits one JSON line per bench (median/p95) on the `picachu-testkit`
 //! harness; `scripts/verify.sh` redirects a full run to
@@ -51,6 +52,18 @@ fn main() {
     });
     g.meta("threads", pool);
     g.bench("kernel_library_cold_parallel", || compile_library(Arc::new(CompileCache::new())));
+    // above the annealing threshold: every cell anneals, schedules and
+    // routes (unroll portfolio [1, 2], as the oracle's 16×16 runs)
+    let annealed = EngineConfig {
+        cgra_rows: 16,
+        cgra_cols: 16,
+        unroll_candidates: vec![1, 2],
+        ..EngineConfig::default()
+    };
+    g.bench("kernel_library_cold_annealed_16x16", || {
+        let mut e = PicachuEngine::new(annealed.clone());
+        black_box(e.prewarm(&NonlinearOp::ALL).is_ok());
+    });
     // a fresh engine on a warm shared cache — the DSE / figure-harness
     // steady state
     let warm = Arc::new(CompileCache::new());

@@ -38,6 +38,9 @@ pub struct ResourceMask {
     dead_links: BTreeSet<(usize, usize)>,
     /// `true` when nothing is masked: the legacy fast path.
     full: bool,
+    /// `(row, col)` per tile, so the full mask's geometry divides nothing;
+    /// empty for a degraded mask.
+    coords: Vec<(usize, usize)>,
     /// All-pairs hop counts over the alive subgraph (`u32::MAX` =
     /// unreachable); empty for a full mask.
     hop_table: Vec<u32>,
@@ -58,6 +61,7 @@ impl ResourceMask {
             alive: vec![true; spec.len()],
             dead_links: BTreeSet::new(),
             full: true,
+            coords: (0..spec.len()).map(|t| spec.coords(t)).collect(),
             hop_table: Vec::new(),
             path_table: Vec::new(),
             path_start: Vec::new(),
@@ -94,6 +98,7 @@ impl ResourceMask {
             alive,
             dead_links: links,
             full: false,
+            coords: Vec::new(),
             hop_table: vec![u32::MAX; n * n],
             path_table: Vec::new(),
             path_start: Vec::with_capacity(n * n + 1),
@@ -189,9 +194,10 @@ impl ResourceMask {
 
     /// Hop count from `a` to `b` over the alive fabric; `None` when
     /// unreachable (or either endpoint is dead).
-    pub fn hops(&self, spec: &CgraSpec, a: usize, b: usize) -> Option<u32> {
+    pub fn hops(&self, _spec: &CgraSpec, a: usize, b: usize) -> Option<u32> {
         if self.full {
-            return Some(spec.hops(a, b));
+            let ((ar, ac), (br, bc)) = (self.coords[a], self.coords[b]);
+            return Some((ar.abs_diff(br) + ac.abs_diff(bc)) as u32);
         }
         let n = self.alive.len();
         let h = self.hop_table[a * n + b];
@@ -201,12 +207,17 @@ impl ResourceMask {
     /// The intermediate tiles (excluding both endpoints) an operand from `a`
     /// to `b` traverses, in travel order; `None` when unreachable. On the
     /// full mask this is the legacy row-first L-shaped path.
-    pub fn path(&self, spec: &CgraSpec, a: usize, b: usize) -> Option<PathWalk<'_>> {
+    pub fn path(&self, _spec: &CgraSpec, a: usize, b: usize) -> Option<PathWalk<'_>> {
         if self.full {
-            let (r, c) = spec.coords(a);
-            let (to_r, to_c) = spec.coords(b);
-            let left = (spec.hops(a, b) as usize).saturating_sub(1);
-            return Some(PathWalk(Walk::RowFirst { r, c, to_r, to_c, cols: spec.cols, left }));
+            let ((r, c), (to_r, to_c)) = (self.coords[a], self.coords[b]);
+            let row_run = c.abs_diff(to_c);
+            return Some(PathWalk(Walk::RowFirst {
+                at: a,
+                row_run,
+                row_step: if to_c < c { usize::MAX } else { 1 },
+                col_step: if to_r < r { self.cols.wrapping_neg() } else { self.cols },
+                left: (row_run + r.abs_diff(to_r)).saturating_sub(1),
+            }));
         }
         let i = a * self.alive.len() + b;
         if self.hop_table[i] == u32::MAX {
@@ -224,9 +235,12 @@ pub struct PathWalk<'a>(Walk<'a>);
 
 #[derive(Debug, Clone)]
 enum Walk<'a> {
-    /// Healthy fabric: step along the row to the destination column, then
-    /// along the column; `left` intermediate tiles remain to yield.
-    RowFirst { r: usize, c: usize, to_r: usize, to_c: usize, cols: usize, left: usize },
+    /// Healthy fabric: two straight runs from tile `at`, `row_run` steps
+    /// of `row_step` (±1) along the row to the destination column, then
+    /// steps of `col_step` (±cols) along the column; `left` intermediate
+    /// tiles remain to yield. Steps add in wrapping arithmetic, so a
+    /// negative step is its two's complement.
+    RowFirst { at: usize, row_run: usize, row_step: usize, col_step: usize, left: usize },
     /// Degraded fabric: the precomputed BFS detour.
     Table(std::slice::Iter<'a, usize>),
 }
@@ -236,17 +250,19 @@ impl Iterator for PathWalk<'_> {
 
     fn next(&mut self) -> Option<usize> {
         match &mut self.0 {
-            Walk::RowFirst { r, c, to_r, to_c, cols, left } => {
+            Walk::RowFirst { at, row_run, row_step, col_step, left } => {
                 if *left == 0 {
                     return None;
                 }
                 *left -= 1;
-                if *c != *to_c {
-                    *c = if *c < *to_c { *c + 1 } else { *c - 1 };
+                let step = if *row_run > 0 {
+                    *row_run -= 1;
+                    *row_step
                 } else {
-                    *r = if *r < *to_r { *r + 1 } else { *r - 1 };
-                }
-                Some(*r * *cols + *c)
+                    *col_step
+                };
+                *at = at.wrapping_add(step);
+                Some(*at)
             }
             Walk::Table(tiles) => tiles.next().copied(),
         }
@@ -363,7 +379,15 @@ mod tests {
 
     #[test]
     fn full_mask_matches_legacy_geometry() {
-        for s in [spec(), CgraSpec::picachu(16, 16)] {
+        // non-square fabrics catch a row/column swap in the geometry
+        let specs = [
+            spec(),
+            CgraSpec::picachu(16, 16),
+            CgraSpec::universal(1, 7),
+            CgraSpec::picachu(3, 5),
+            CgraSpec::universal(5, 2),
+        ];
+        for s in specs {
             let m = ResourceMask::full(&s);
             assert!(m.is_full());
             for a in 0..s.len() {

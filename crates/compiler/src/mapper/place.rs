@@ -120,6 +120,9 @@ pub(crate) fn is_phi_class(op: Opcode) -> bool {
 pub(crate) struct PlacerCtx {
     /// Scheduling priority per node ([`priorities`]).
     levels: Vec<u32>,
+    /// Per node: the jitter-free part of its placement-order key,
+    /// `level << 40 | φ << 39 | node` ([`PlacerCtx::order`]).
+    order_keys: Vec<u64>,
     /// Same-iteration consumer ids per producer, in node/input order.
     consumers: Adjacency<u32>,
     /// Carried `(consumer, distance)` pairs per producer.
@@ -191,8 +194,19 @@ impl PlacerCtx {
                 }
             }
         }
+        let levels = priorities(dfg);
+        debug_assert!(dfg.len() < 1 << 24 && levels.iter().all(|&l| l < 1 << 24));
+        let order_keys = dfg
+            .nodes()
+            .iter()
+            .enumerate()
+            .map(|(i, node)| {
+                u64::from(levels[i]) << 40 | u64::from(is_phi_class(node.op)) << 39 | i as u64
+            })
+            .collect();
         PlacerCtx {
-            levels: priorities(dfg),
+            levels,
+            order_keys,
             consumers: Adjacency::new(dfg.len(), consumers),
             carried: Adjacency::new(dfg.len(), carried),
             capable: Adjacency::new(ops.len(), capable),
@@ -218,13 +232,21 @@ impl PlacerCtx {
     /// The placement order of one attempt: deferred level ascending; within
     /// a level, φ nodes go last so the *other* inputs of their consumers
     /// are already placed when the φ's dynamic start time is computed;
-    /// random tiebreak otherwise. Draws exactly one jitter per node.
-    fn order(&self, dfg: &Dfg, rng: &mut TestRng) -> Vec<usize> {
-        let n = dfg.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        let jitter: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
-        order.sort_by_key(|&i| (self.levels[i], is_phi_class(dfg.nodes()[i].op), jitter[i]));
-        order
+    /// random tiebreak otherwise. Draws exactly one jitter per node, in
+    /// node order.
+    ///
+    /// Each node's key packs `level << 40 | φ << 39 | jitter << 24 | node`
+    /// into one word. The node id makes every key distinct, so the
+    /// unstable sort yields the stable sort by `(level, φ, jitter)` over
+    /// node ids.
+    fn order(&self, rng: &mut TestRng) -> Vec<usize> {
+        let mut keys: Vec<u64> = self
+            .order_keys
+            .iter()
+            .map(|&k| k | u64::from(rng.gen_range(0u32..1000)) << 24)
+            .collect();
+        keys.sort_unstable();
+        keys.into_iter().map(|k| (k & 0xff_ffff) as usize).collect()
     }
 
     /// Dynamic start of a source node `v` (φ, const, invariant loads):
@@ -347,7 +369,7 @@ pub(crate) fn place_rest(
     mut placed: Vec<Option<Placement>>,
     repair: bool,
 ) -> Option<Vec<Placement>> {
-    let order = ctx.order(dfg, rng);
+    let order = ctx.order(rng);
     // per-node scratch, reused across the nodes of this attempt
     let mut preds: Vec<(usize, u32)> = Vec::new();
     let mut pred_hops: Vec<u32> = Vec::new();
@@ -617,7 +639,7 @@ fn anneal_tiles(
     }
 
     // initial state: greedy wirelength in the historical priority order
-    let order = ctx.order(dfg, rng);
+    let order = ctx.order(rng);
     let mut tiles: Vec<usize> = vec![usize::MAX; n];
     let mut count = vec![0usize; spec.len()];
     for &v in &order {
@@ -648,23 +670,17 @@ fn anneal_tiles(
     // path of every distance-0 edge, vs ROUTE_CAP routing slots per (tile,
     // slot) = ROUTE_CAP · II per tile
     let tile_cap = u64::from(ROUTE_CAP) * u64::from(ii);
-    let mut occ = vec![0u64; spec.len()];
-    let mut wire = 0u64;
-    for &(u, v, d0) in &edges {
-        wire += hop_cost(mask.hops(spec, tiles[u], tiles[v]));
-        if d0 {
-            if let Some(path) = mask.path(spec, tiles[u], tiles[v]) {
-                for t in path {
-                    occ[t] += 1;
-                }
-            }
-        }
-    }
+    let mut occ = pass_through(&edges, &tiles, spec, mask);
+    let wire: u64 =
+        edges.iter().map(|&(u, v, _)| hop_cost(mask.hops(spec, tiles[u], tiles[v]))).sum();
     let congestion: u64 = occ.iter().map(|&o| o.saturating_sub(tile_cap)).sum();
 
     let mut temp = (wire + CONGESTION_WEIGHT * congestion) / 4;
     let moves_per_temp = (4 * n).max(32);
     let mut moves = 0usize;
+    // tiles whose pass-through count the current move changed: the remove
+    // pass's decrements, then the add pass's increments from `added` on
+    let mut journal: Vec<usize> = Vec::new();
     while temp > 0 && moves < MOVE_CAP {
         for _ in 0..moves_per_temp {
             moves += 1;
@@ -676,10 +692,12 @@ fn anneal_tiles(
                 continue;
             }
             // remove v's incident contributions, move, re-add; track Δ
+            journal.clear();
             let mut delta: i64 = 0;
-            delta -= contribution(&edges, &incident[v], &tiles, spec, mask, &mut occ, tile_cap, v, false);
+            delta -= contribution(&edges, &incident[v], &tiles, spec, mask, &mut occ, tile_cap, false, &mut journal);
+            let added = journal.len();
             tiles[v] = cand;
-            delta += contribution(&edges, &incident[v], &tiles, spec, mask, &mut occ, tile_cap, v, true);
+            delta += contribution(&edges, &incident[v], &tiles, spec, mask, &mut occ, tile_cap, true, &mut journal);
             let accept = delta <= 0 || {
                 let d = delta as u64;
                 rng.gen_range(0..temp + d) < temp
@@ -688,10 +706,15 @@ fn anneal_tiles(
                 count[old] -= 1;
                 count[cand] += 1;
             } else {
-                // revert
-                contribution(&edges, &incident[v], &tiles, spec, mask, &mut occ, tile_cap, v, false);
+                // revert by replaying the journal: the counts go back to
+                // exactly what the two passes changed them from
                 tiles[v] = old;
-                contribution(&edges, &incident[v], &tiles, spec, mask, &mut occ, tile_cap, v, true);
+                for &t in &journal[..added] {
+                    occ[t] += 1;
+                }
+                for &t in &journal[added..] {
+                    occ[t] -= 1;
+                }
             }
             if moves >= MOVE_CAP {
                 break;
@@ -699,13 +722,32 @@ fn anneal_tiles(
         }
         temp = temp * 7 / 10;
     }
+    debug_assert_eq!(occ, pass_through(&edges, &tiles, spec, mask), "pass-through counts drifted");
     Some(tiles)
 }
 
-/// Adds (`add = true`) or removes the cost contribution of every edge
-/// incident to `v` under the current `tiles` assignment, updating the
-/// per-tile pass-through occupancy, and returns the signed cost
-/// (wirelength + weighted congestion) of those edges.
+/// Per-tile pass-through count of the canonical paths of every distance-0
+/// edge under the tile assignment `tiles`.
+fn pass_through(
+    edges: &[(usize, usize, bool)],
+    tiles: &[usize],
+    spec: &CgraSpec,
+    mask: &ResourceMask,
+) -> Vec<u64> {
+    let mut occ = vec![0u64; spec.len()];
+    for &(u, v, _) in edges.iter().filter(|e| e.2) {
+        for t in mask.path(spec, tiles[u], tiles[v]).into_iter().flatten() {
+            occ[t] += 1;
+        }
+    }
+    occ
+}
+
+/// Adds (`add = true`) or removes the cost contribution of the `incident`
+/// edges under the current `tiles` assignment, updating the per-tile
+/// pass-through occupancy and appending every tile it changes to
+/// `journal`, and returns the signed cost (wirelength + weighted
+/// congestion) of those edges.
 #[allow(clippy::too_many_arguments)]
 fn contribution(
     edges: &[(usize, usize, bool)],
@@ -715,8 +757,8 @@ fn contribution(
     mask: &ResourceMask,
     occ: &mut [u64],
     tile_cap: u64,
-    _v: usize,
     add: bool,
+    journal: &mut Vec<usize>,
 ) -> i64 {
     let mut cost = 0i64;
     for &ei in incident {
@@ -725,6 +767,7 @@ fn contribution(
         if d0 {
             if let Some(path) = mask.path(spec, tiles[u], tiles[w]) {
                 for t in path {
+                    journal.push(t);
                     if add {
                         occ[t] += 1;
                         if occ[t] > tile_cap {
@@ -767,7 +810,7 @@ fn schedule_on_tiles(
     ctx: &PlacerCtx,
     tiles: &[usize],
 ) -> Option<Vec<Placement>> {
-    let order = ctx.order(dfg, rng);
+    let order = ctx.order(rng);
     let mut compute = vec![false; spec.len() * ii as usize];
     let slot_of = |tile: usize, t: u32| tile * ii as usize + (t % ii) as usize;
     // canonical-path channel occupancy per (directed link, slot)
@@ -850,4 +893,48 @@ fn route_links(
     to: usize,
 ) -> impl Iterator<Item = (usize, usize)> + '_ {
     path.chain(std::iter::once(to)).scan(from, |prev, t| Some((std::mem::replace(prev, t), t)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transform::{fuse_patterns, lower_special_ops, unroll};
+    use picachu_ir::kernels::kernel_library;
+
+    /// The placement order as the placer used to compute it: a stable sort
+    /// of node ids by `(level, φ-last, jitter)`, re-deriving the key from
+    /// `dfg.nodes()` on every comparison.
+    fn legacy_order(ctx: &PlacerCtx, dfg: &Dfg, rng: &mut TestRng) -> Vec<usize> {
+        let n = dfg.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        let jitter: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
+        order.sort_by_key(|&i| (ctx.levels[i], is_phi_class(dfg.nodes()[i].op), jitter[i]));
+        order
+    }
+
+    #[test]
+    fn order_matches_legacy_stable_sort() {
+        let spec = CgraSpec::picachu(4, 4);
+        let mask = ResourceMask::full(&spec);
+        let mut dfgs = 0;
+        for k in kernel_library(4) {
+            for l in &k.loops {
+                for uf in [1, 2, 4, 8] {
+                    let unrolled = unroll(&l.dfg, uf);
+                    for dfg in [fuse_patterns(&unrolled), lower_special_ops(&unrolled)] {
+                        dfgs += 1;
+                        let ctx = PlacerCtx::new(&dfg, &spec, &mask);
+                        for seed in 0..8u64 {
+                            let mut a = TestRng::seed_from_u64(seed);
+                            let mut b = TestRng::seed_from_u64(seed);
+                            let got = ctx.order(&mut a);
+                            assert_eq!(got, legacy_order(&ctx, &dfg, &mut b), "{} uf {uf}", l.label);
+                            assert_eq!(a.next_u64(), b.next_u64(), "{} uf {uf}: RNG stream", l.label);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(dfgs > 50, "{dfgs} DFGs");
+    }
 }

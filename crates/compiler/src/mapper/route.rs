@@ -191,7 +191,7 @@ pub fn route_mapping(
     // penalties accumulated across rounds
     let mut occ = vec![0u32; link_slots(spec, ii)];
     let mut history = vec![0u32; occ.len()];
-    let mut scratch = PathScratch::default();
+    let mut scratch = PathScratch::new(spec, mask, ii);
     for round in 0..RIPUP_ROUNDS {
         folder.reset_ports();
         occ.fill(0);
@@ -200,7 +200,7 @@ pub fn route_mapping(
             let tiles = if r.src == r.dst {
                 vec![r.src]
             } else {
-                best_path(spec, mask, ii, r, &occ, &history, &mut scratch)?
+                best_path(spec, ii, r, &occ, &history, &mut scratch)?
             };
             let depart = r.arrive - (tiles.len() as u32 - 1);
             let folded = folder.fold_path(fanout[r.producer], depart, &tiles);
@@ -245,11 +245,34 @@ pub fn route_mapping(
 }
 
 /// The DP tables of [`best_path`], flat (`step·tiles + tile`) and reused
-/// across every edge and round of one [`route_mapping`] call.
-#[derive(Default)]
+/// across every edge and round of one [`route_mapping`] call, plus the
+/// alive links into every tile, which that call's mask and II fix.
 struct PathScratch {
     dp: Vec<u64>,
     par: Vec<usize>,
+    /// `inbound[inbound_start[b]..inbound_start[b + 1]]` lists the alive
+    /// links `a → b` as `(a, base)`, in [`CgraSpec::neighbors`] order of
+    /// `b`; the link's entry at `slot` is `base + slot`
+    /// ([`link_slot`]).
+    inbound: Vec<(usize, usize)>,
+    inbound_start: Vec<usize>,
+}
+
+impl PathScratch {
+    fn new(spec: &CgraSpec, mask: &ResourceMask, ii: u32) -> PathScratch {
+        let mut inbound = Vec::with_capacity(spec.len() * DIRECTIONS);
+        let mut inbound_start = Vec::with_capacity(spec.len() + 1);
+        for b in 0..spec.len() {
+            inbound_start.push(inbound.len());
+            inbound.extend(
+                spec.neighbors(b)
+                    .filter(|&a| mask.link_alive(a, b))
+                    .map(|a| (a, link_slot(spec, ii, a, b, 0))),
+            );
+        }
+        inbound_start.push(inbound.len());
+        PathScratch { dp: Vec::new(), par: Vec::new(), inbound, inbound_start }
+    }
 }
 
 /// Deterministic min-cost path for one edge over the time-expanded alive
@@ -261,7 +284,6 @@ struct PathScratch {
 /// at the producer's register).
 fn best_path(
     spec: &CgraSpec,
-    mask: &ResourceMask,
     ii: u32,
     r: &Request,
     occ: &[u32],
@@ -272,7 +294,7 @@ fn best_path(
     let budget = r.arrive - r.rdy; // ≥ r.hops, checked by the caller
     let max_len = budget.min(r.hops + DETOUR_SLACK) as usize;
     let n = spec.len();
-    let PathScratch { dp, par } = scratch;
+    let PathScratch { dp, par, inbound, inbound_start } = scratch;
     dp.clear();
     dp.resize((max_len + 1) * n, INF);
     par.clear();
@@ -293,18 +315,15 @@ fn best_path(
         if t_a < r.rdy {
             break;
         }
-        let slot = t_a % ii;
+        let slot = (t_a % ii) as usize;
         let (done, next) = dp.split_at_mut((k + 1) * n);
         let next_par = &mut par[(k + 1) * n..(k + 2) * n];
         for (b, &c) in done[k * n..].iter().enumerate() {
             if c == INF {
                 continue;
             }
-            for a in spec.neighbors(b) {
-                if !mask.link_alive(a, b) {
-                    continue;
-                }
-                let link = link_slot(spec, ii, a, b, slot);
+            for &(a, base) in &inbound[inbound_start[b]..inbound_start[b + 1]] {
+                let link = base + slot;
                 let o = occ[link];
                 let present = if o >= CHANNEL_CAP {
                     PRESENT_PENALTY * u64::from(o - CHANNEL_CAP + 1)

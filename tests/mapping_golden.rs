@@ -87,9 +87,26 @@ fn library_on_4x4_with_dead_link_and_tile() {
 }
 
 #[test]
+fn library_on_healthy_8x8() {
+    // the largest fabric the greedy placer serves
+    let spec = CgraSpec::picachu(8, 8);
+    let got = digest_library(&spec, &ResourceMask::full(&spec), false);
+    check("healthy 8x8", got, 0xa051_c1fc_d1db_596b);
+}
+
+#[test]
 fn annealed_16x16_mappings_and_reports() {
     let spec = CgraSpec::picachu(16, 16);
     let mask = ResourceMask::full(&spec);
     let got = digest_library(&spec, &mask, true);
     check("16x16 annealed", got, 0x2d32_d4b0_d453_b31e);
+}
+
+#[test]
+fn annealed_16x16_with_dead_tile_and_link_reports() {
+    // the annealer and the router on a BFS hop table
+    let spec = CgraSpec::picachu(16, 16);
+    let mask = ResourceMask::degraded(&spec, [37], [(0, 1)]);
+    let got = digest_library(&spec, &mask, true);
+    check("16x16 annealed dead_tile(37)+dead_link(0,1)", got, 0x16f4_e7af_d8bf_cf05);
 }
