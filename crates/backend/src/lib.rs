@@ -96,27 +96,6 @@ impl fmt::Display for Breakdown {
     }
 }
 
-/// What a backend's compile stage looks like — the harness uses this to
-/// decide whether warming caches before measurement is meaningful, and the
-/// tables report it so readers know which targets pay a toolchain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CompileHint {
-    /// The backend compiles kernels per operation and caches the result
-    /// (PICACHU's modulo-scheduled mappings, the homogeneous CGRA's UF-1
-    /// mappings). Pure analytical models report `false`.
-    pub cached_kernel_compilation: bool,
-    /// The backend exploits 4-lane INT16 vectorization when the workload's
-    /// data format allows it.
-    pub vectorizes_int16: bool,
-}
-
-impl CompileHint {
-    /// Hint for a pure analytical cost model: nothing to compile.
-    pub fn analytical() -> CompileHint {
-        CompileHint::default()
-    }
-}
-
 /// The result of executing one trace on one backend: the canonical
 /// breakdown plus its energy, stamped with the backend's name. One report
 /// is one row of the shared comparison harness.
@@ -172,11 +151,6 @@ pub const HINT_WARM_TOLERANCE: f64 = 1e-9;
 pub trait Accelerator {
     /// Backend name for tables, figures and JSON rows.
     fn name(&self) -> &str;
-
-    /// What this backend's compile stage looks like.
-    fn compile_hint(&self) -> CompileHint {
-        CompileHint::analytical()
-    }
 
     /// Executes a full operator trace, returning the per-phase report.
     fn execute_trace(&mut self, trace: &[TraceOp]) -> ExecutionReport;
@@ -266,7 +240,6 @@ mod tests {
         assert_eq!(r.total(), 1.0);
         assert_eq!(r.energy_nj, 2.0);
         assert!(r.is_sane());
-        assert_eq!(d.compile_hint(), CompileHint::analytical());
     }
 
     #[test]

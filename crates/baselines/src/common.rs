@@ -9,7 +9,7 @@
 //! [`Accelerator`] backend contract.
 
 pub use picachu_backend::Breakdown;
-use picachu_backend::{Accelerator, CompileHint, ExecutionReport};
+use picachu_backend::{Accelerator, ExecutionReport};
 use picachu_cgra::cost::CostModel;
 use picachu_llm::trace::TraceOp;
 use picachu_llm::ModelConfig;
@@ -74,8 +74,6 @@ pub struct UnitCost {
     pub area_mm2: f64,
     /// Average power draw of the nonlinear unit while active, in mW.
     pub power_mw: f64,
-    /// Whether the unit's compile stage caches per-kernel artifacts.
-    pub hint: CompileHint,
 }
 
 /// A baseline hosted on the shared systolic array: GEMMs run on the same
@@ -109,10 +107,6 @@ impl<M: NonlinearExecutor> Hosted<M> {
 impl<M: NonlinearExecutor> Accelerator for Hosted<M> {
     fn name(&self) -> &str {
         self.model.name()
-    }
-
-    fn compile_hint(&self) -> CompileHint {
-        self.unit.hint
     }
 
     fn execute_trace(&mut self, trace: &[TraceOp]) -> ExecutionReport {

@@ -8,7 +8,6 @@
 //! paper calls out.
 
 use crate::common::{Hosted, NonlinearExecutor, UnitCost};
-use picachu_backend::CompileHint;
 use picachu_nonlinear::NonlinearOp;
 
 /// SIMD-CPU cost model.
@@ -35,7 +34,7 @@ impl CpuModel {
     pub fn hosted() -> Hosted<CpuModel> {
         Hosted::new(
             CpuModel::default(),
-            UnitCost { area_mm2: 0.0, power_mw: 15_000.0, hint: CompileHint::analytical() },
+            UnitCost { area_mm2: 0.0, power_mw: 15_000.0 },
         )
     }
 

@@ -9,7 +9,6 @@
 //! reduction ops pay exposed DMA time.
 
 use crate::common::{Hosted, NonlinearExecutor, UnitCost};
-use picachu_backend::CompileHint;
 use picachu_nonlinear::NonlinearOp;
 
 /// Gemmini-class cost model.
@@ -43,7 +42,7 @@ impl GemminiModel {
     pub fn hosted() -> Hosted<GemminiModel> {
         Hosted::new(
             GemminiModel::default(),
-            UnitCost { area_mm2: 0.6, power_mw: 90.0, hint: CompileHint::analytical() },
+            UnitCost { area_mm2: 0.6, power_mw: 90.0 },
         )
     }
 

@@ -11,7 +11,6 @@
 //! buffering, so every operator round-trips its tensors over DMA.
 
 use crate::common::{Hosted, NonlinearExecutor, UnitCost};
-use picachu_backend::CompileHint;
 use picachu_compiler::arch::CgraSpec;
 use picachu_compiler::mapper::{map_dfg, Mapping};
 use picachu_compiler::transform::lower_special_ops;
@@ -75,11 +74,7 @@ impl HomogeneousCgraModel {
     pub fn hosted() -> Hosted<HomogeneousCgraModel> {
         Hosted::new(
             HomogeneousCgraModel::default(),
-            UnitCost {
-                area_mm2: 1.1,
-                power_mw: 160.0,
-                hint: CompileHint { cached_kernel_compilation: true, vectorizes_int16: false },
-            },
+            UnitCost { area_mm2: 1.1, power_mw: 160.0 },
         )
     }
 
@@ -147,6 +142,5 @@ mod tests {
         let r = b.execute_model(&ModelConfig::gpt2(), 128);
         assert!(r.is_sane() && r.total() > 0.0);
         assert_eq!(r.backend, "CGRA-base");
-        assert!(b.compile_hint().cached_kernel_compilation);
     }
 }

@@ -35,5 +35,5 @@ pub use cpu::CpuModel;
 pub use gemmini::GemminiModel;
 pub use gpu::GpuModel;
 pub use homogeneous::HomogeneousCgraModel;
-pub use picachu_backend::{Accelerator, CompileHint, ExecutionReport};
+pub use picachu_backend::{Accelerator, ExecutionReport};
 pub use tandem::TandemModel;

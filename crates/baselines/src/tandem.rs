@@ -9,7 +9,6 @@
 //! the paper's ≤1.55× speedups on BERT/GPT-2.
 
 use crate::common::{Hosted, NonlinearExecutor, UnitCost};
-use picachu_backend::CompileHint;
 use picachu_nonlinear::NonlinearOp;
 
 /// Tandem-class cost model.
@@ -37,7 +36,7 @@ impl TandemModel {
     pub fn hosted() -> Hosted<TandemModel> {
         Hosted::new(
             TandemModel::default(),
-            UnitCost { area_mm2: 1.8, power_mw: 250.0, hint: CompileHint::analytical() },
+            UnitCost { area_mm2: 1.8, power_mw: 250.0 },
         )
     }
 

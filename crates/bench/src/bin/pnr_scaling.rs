@@ -6,8 +6,8 @@
 //! and reports achieved II plus the Route-pass channel accounting. Two
 //! invariants are gated downstream by `verify.sh`:
 //!
-//! * **paper-scale bit-identity** — at ≤ 64 tiles, [`PnrMode::Auto`] is the
-//!   greedy engine bit-for-bit (`identity` rows);
+//! * **paper-scale bit-identity** — at ≤ 64 tiles, the default engine (no
+//!   [`PnrMode`] given) is the greedy engine bit-for-bit (`identity` rows);
 //! * **payoff** — at 16×16, at least one kernel either maps at a lower II
 //!   under the annealed engine or maps at all where greedy rejects
 //!   (`summary` row).
@@ -21,7 +21,7 @@
 
 use picachu_bench::{banner, emit, json_obj, Json};
 use picachu_compiler::arch::CgraSpec;
-use picachu_compiler::mapper::{map_dfg_mode, pnr_report, PnrMode, ResourceMask};
+use picachu_compiler::mapper::{map_dfg_with, pnr_report, PnrMode, ResourceMask};
 use picachu_compiler::transform::{fuse_patterns, unroll};
 use picachu_ir::dfg::Dfg;
 use picachu_ir::kernels::kernel_library;
@@ -32,7 +32,6 @@ fn mode_name(mode: PnrMode) -> &'static str {
     match mode {
         PnrMode::Greedy => "greedy",
         PnrMode::Annealed => "annealed",
-        PnrMode::Auto => "auto",
     }
 }
 
@@ -86,7 +85,7 @@ fn main() {
         for c in &cases {
             let mut iis: Vec<i64> = Vec::new();
             for mode in [PnrMode::Greedy, PnrMode::Annealed] {
-                let mapped = map_dfg_mode(&c.dfg, &spec, SEED, &mask, None, mode);
+                let mapped = map_dfg_with(&c.dfg, &spec, SEED, &mask, Some(mode));
                 let (ok, ii, report) = match &mapped {
                     Ok(m) => (true, m.ii as i64, pnr_report(&c.dfg, &spec, &mask, m)),
                     Err(_) => (false, -1, None),
@@ -137,11 +136,11 @@ fn main() {
                 c.label, c.uf, rows, cols, g, a
             );
         }
-        // paper-scale bit-identity: Auto must be the greedy engine exactly
+        // paper-scale bit-identity: the default must be the greedy engine
         if spec.len() <= 64 {
             let identical = cases.iter().all(|c| {
-                map_dfg_mode(&c.dfg, &spec, SEED, &mask, None, PnrMode::Auto)
-                    == map_dfg_mode(&c.dfg, &spec, SEED, &mask, None, PnrMode::Greedy)
+                map_dfg_with(&c.dfg, &spec, SEED, &mask, None)
+                    == map_dfg_with(&c.dfg, &spec, SEED, &mask, Some(PnrMode::Greedy))
             });
             lines.push(json_obj(&[
                 ("kind", Json::S("identity".into())),

@@ -37,6 +37,5 @@ pub mod transform;
 
 pub use arch::{CgraSpec, TileClass};
 pub use mapper::{
-    map_dfg, map_dfg_mode, map_dfg_with, pnr_report, MapError, Mapping, PnrMode, PnrReport,
-    ResourceMask,
+    map_dfg, map_dfg_with, pnr_report, MapError, Mapping, PnrMode, PnrReport, ResourceMask,
 };

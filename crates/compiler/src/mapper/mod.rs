@@ -56,8 +56,6 @@ use picachu_ir::opcode::Opcode;
 use picachu_testkit::{splitmix64, TestRng};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 /// Routing capacity per (tile, slot) in the greedy engine: how many
 /// pass-through operands a tile's crossbar can forward per cycle in addition
@@ -70,20 +68,18 @@ const ATTEMPTS_PER_II: usize = 30;
 /// How far beyond MII the search may go before giving up.
 const II_SLACK: u32 = 40;
 /// Fabrics with more tiles than this take the annealed Place→Route pipeline
-/// under [`PnrMode::Auto`]; at or below it (every paper-scale geometry: 4×4,
-/// 8×8) the greedy fast path runs and mappings stay bit-identical to the
-/// pre-pipeline mapper.
+/// when no [`PnrMode`] is given; at or below it (every paper-scale geometry:
+/// 4×4, 8×8) the greedy fast path runs and mappings stay bit-identical to
+/// the pre-pipeline mapper.
 pub const ANNEAL_TILE_THRESHOLD: usize = 64;
 
-/// Which placement engine the portfolio runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// A forced placement engine; `None` in its place means the size policy
+/// (greedy at ≤ [`ANNEAL_TILE_THRESHOLD`] tiles, annealed above).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PnrMode {
-    /// Greedy at paper scale, annealed above [`ANNEAL_TILE_THRESHOLD`].
-    #[default]
-    Auto,
-    /// Force the historical greedy engine regardless of fabric size.
+    /// The historical greedy engine regardless of fabric size.
     Greedy,
-    /// Force the annealed Place→Route pipeline regardless of fabric size.
+    /// The annealed Place→Route pipeline regardless of fabric size.
     Annealed,
 }
 
@@ -152,19 +148,6 @@ pub enum MapError {
         /// The last II tried.
         tried: u32,
     },
-    /// The per-compile deadline expired before the search finished.
-    Timeout {
-        /// The budget that expired, in milliseconds.
-        budget_ms: u64,
-        /// Wall-clock actually spent before the search gave up, in
-        /// milliseconds (≥ `budget_ms`: cells started before expiry finish).
-        elapsed_ms: u64,
-        /// Grid cells actually evaluated before expiry — `0` means the
-        /// budget was spent before the search even started (e.g. queueing
-        /// behind other compiles), which needs a different remedy than a
-        /// genuinely hard-to-map kernel.
-        cells_scanned: u64,
-    },
     /// A search worker panicked (isolated by the runtime's `catch_unwind`).
     Worker {
         /// Grid index of the panicking attempt.
@@ -186,13 +169,6 @@ impl fmt::Display for MapError {
             }
             MapError::IiLimitExceeded { tried } => {
                 write!(f, "no feasible schedule up to II={tried}")
-            }
-            MapError::Timeout { budget_ms, elapsed_ms, cells_scanned } => {
-                write!(
-                    f,
-                    "mapping deadline of {budget_ms} ms expired after {elapsed_ms} ms \
-                     ({cells_scanned} grid cells scanned)"
-                )
             }
             MapError::Worker { index, message } => {
                 write!(f, "mapping attempt {index} panicked: {message}")
@@ -316,47 +292,28 @@ pub fn map_dfg(dfg: &Dfg, spec: &CgraSpec, seed: u64) -> Result<Mapping, MapErro
     map_dfg_with(dfg, spec, seed, &ResourceMask::full(spec), None)
 }
 
-/// [`map_dfg`] restricted to the alive fabric of `mask`, optionally under a
-/// wall-clock `deadline`.
+/// [`map_dfg`] restricted to the alive fabric of `mask`, on the engine
+/// `mode` forces (`None`: the size policy, see [`ANNEAL_TILE_THRESHOLD`]).
 ///
-/// With a full mask and no deadline this is exactly [`map_dfg`] —
-/// bit-identical mappings included. A degraded mask narrows placement to
-/// alive tiles and reroutes operands via deterministic BFS detours around
-/// dead tiles/links; the achieved II then reflects the degradation (callers
-/// compare against the healthy II to report inflation).
-///
-/// The deadline is cooperative: search cells started before expiry finish,
-/// cells claimed after it are skipped, and if nothing succeeded the error is
-/// [`MapError::Timeout`] rather than [`MapError::IiLimitExceeded`]. A
-/// deadline makes the *failure mode* timing-dependent (a success found
-/// before expiry is still deterministic), so serve paths pair it with a
-/// fallback; tests that need full determinism pass `None`.
+/// With a full mask and `None` this is exactly [`map_dfg`] — bit-identical
+/// mappings included. A degraded mask narrows placement to alive tiles and
+/// reroutes operands via deterministic BFS detours around dead tiles/links;
+/// the achieved II then reflects the degradation (callers compare against
+/// the healthy II to report inflation). A forced mode is the knob benchmarks
+/// use to compare the greedy and annealed engines on the same fabric.
 ///
 /// # Errors
 /// [`MapError::EmptyDfg`], [`MapError::NoCapableTile`],
-/// [`MapError::IiLimitExceeded`], [`MapError::Timeout`], or
-/// [`MapError::Worker`] when a search attempt panicked.
+/// [`MapError::IiLimitExceeded`], or [`MapError::Worker`] when a search
+/// attempt panicked.
 pub fn map_dfg_with(
     dfg: &Dfg,
     spec: &CgraSpec,
     seed: u64,
     mask: &ResourceMask,
-    deadline: Option<Duration>,
+    mode: Option<PnrMode>,
 ) -> Result<Mapping, MapError> {
-    map_dfg_mode(dfg, spec, seed, mask, deadline, PnrMode::Auto)
-}
-
-/// [`map_dfg_with`] with an explicit [`PnrMode`] — the knob benchmarks use
-/// to compare the greedy and annealed engines on the same fabric.
-pub fn map_dfg_mode(
-    dfg: &Dfg,
-    spec: &CgraSpec,
-    seed: u64,
-    mask: &ResourceMask,
-    deadline: Option<Duration>,
-    mode: PnrMode,
-) -> Result<Mapping, MapError> {
-    let grid = SearchGrid::prepare_with_mode(dfg, spec, mask, seed, deadline, mode)?;
+    let grid = SearchGrid::prepare(dfg, spec, mask, seed, mode)?;
     let found =
         picachu_runtime::try_parallel_find_first(grid.grid_len(), |idx| {
             grid.eval(dfg, spec, mask, idx)
@@ -375,24 +332,20 @@ pub fn map_dfg_mode(
 ///
 /// Cell `idx` encodes `(ii, attempt)` as `idx = (ii − MII)·ATTEMPTS_PER_II +
 /// attempt`; [`SearchGrid::eval`] is a pure function of `(dfg, spec, mask,
-/// idx)` apart from the cooperative deadline, so the lowest-index success is
-/// the same mapping the serial scan would find — on either placement engine.
+/// idx)`, so the lowest-index success is the same mapping the serial scan
+/// would find — on either placement engine.
 pub struct SearchGrid {
     seed: u64,
     mii: u32,
-    mode: PnrMode,
+    annealed: bool,
     ctx: place::PlacerCtx,
-    deadline: Option<Duration>,
-    start: Instant,
-    timed_out: AtomicBool,
-    cells_scanned: AtomicU64,
 }
 
 impl SearchGrid {
-    /// Validates the request, computes `MII` and the placer context every
-    /// cell shares (priorities, consumer lists, capable tiles). The
-    /// deadline clock starts here. Uses [`PnrMode::Auto`]: greedy at paper
-    /// scale, annealed above [`ANNEAL_TILE_THRESHOLD`].
+    /// Validates the request, computes `MII`, picks the engine (`mode`, or
+    /// the size policy when `None`: greedy at paper scale, annealed above
+    /// [`ANNEAL_TILE_THRESHOLD`]) and builds the placer context every cell
+    /// shares (priorities, consumer lists, capable tiles).
     ///
     /// # Errors
     /// [`MapError::EmptyDfg`] or [`MapError::NoCapableTile`].
@@ -401,37 +354,18 @@ impl SearchGrid {
         spec: &CgraSpec,
         mask: &ResourceMask,
         seed: u64,
-        deadline: Option<Duration>,
-    ) -> Result<SearchGrid, MapError> {
-        SearchGrid::prepare_with_mode(dfg, spec, mask, seed, deadline, PnrMode::Auto)
-    }
-
-    /// [`SearchGrid::prepare`] with an explicit engine choice.
-    ///
-    /// # Errors
-    /// [`MapError::EmptyDfg`] or [`MapError::NoCapableTile`].
-    pub fn prepare_with_mode(
-        dfg: &Dfg,
-        spec: &CgraSpec,
-        mask: &ResourceMask,
-        seed: u64,
-        deadline: Option<Duration>,
-        mode: PnrMode,
+        mode: Option<PnrMode>,
     ) -> Result<SearchGrid, MapError> {
         if dfg.is_empty() {
             return Err(MapError::EmptyDfg);
         }
         let mii = min_ii_with(dfg, spec, mask)?;
-        Ok(SearchGrid {
-            seed,
-            mii,
-            mode,
-            ctx: place::PlacerCtx::new(dfg, spec, mask),
-            deadline,
-            start: Instant::now(),
-            timed_out: AtomicBool::new(false),
-            cells_scanned: AtomicU64::new(0),
-        })
+        let annealed = match mode {
+            Some(PnrMode::Greedy) => false,
+            Some(PnrMode::Annealed) => true,
+            None => spec.len() > ANNEAL_TILE_THRESHOLD,
+        };
+        Ok(SearchGrid { seed, mii, annealed, ctx: place::PlacerCtx::new(dfg, spec, mask) })
     }
 
     /// Number of cells in the grid (`(II_SLACK + 1) · ATTEMPTS_PER_II`).
@@ -447,11 +381,9 @@ impl SearchGrid {
     }
 
     /// Evaluates one cell: derives the cell's own RNG stream and runs one
-    /// placement attempt on the engine the mode selects (the annealed engine
-    /// includes its Route-pass acceptance gate). Returns the
-    /// `(ii, placements)` on success. If the cooperative deadline has expired
-    /// the cell is skipped (recorded in the timeout flag, not counted as
-    /// scanned).
+    /// placement attempt on the engine chosen at [`SearchGrid::prepare`]
+    /// (the annealed engine includes its Route-pass acceptance gate).
+    /// Returns the `(ii, placements)` on success.
     ///
     /// Must be called with the same `dfg`/`spec`/`mask` the grid was
     /// prepared with.
@@ -462,22 +394,10 @@ impl SearchGrid {
         mask: &ResourceMask,
         idx: usize,
     ) -> Option<(u32, Vec<Placement>)> {
-        if let Some(budget) = self.deadline {
-            if self.start.elapsed() >= budget {
-                self.timed_out.store(true, Ordering::SeqCst);
-                return None;
-            }
-        }
-        self.cells_scanned.fetch_add(1, Ordering::Relaxed);
         let ii = self.cell_ii(idx);
         let attempt = idx % ATTEMPTS_PER_II;
         let mut rng = TestRng::seed_from_u64(attempt_seed(self.seed, ii, attempt));
-        let annealed = match self.mode {
-            PnrMode::Greedy => false,
-            PnrMode::Annealed => true,
-            PnrMode::Auto => spec.len() > ANNEAL_TILE_THRESHOLD,
-        };
-        let placements = if annealed {
+        let placements = if self.annealed {
             place::try_place_annealed(dfg, spec, mask, ii, &mut rng, &self.ctx)
         } else {
             place::try_place(dfg, spec, mask, ii, &mut rng, &self.ctx)
@@ -486,11 +406,9 @@ impl SearchGrid {
     }
 
     /// Turns the lowest-index success (or its absence) into the final
-    /// [`Mapping`] / [`MapError`], distinguishing a deadline expiry from a
-    /// genuinely infeasible search window.
+    /// [`Mapping`] / [`MapError`].
     ///
     /// # Errors
-    /// [`MapError::Timeout`] (with elapsed/cells-scanned telemetry),
     /// [`MapError::IiLimitExceeded`], or [`MapError::Internal`] if an
     /// accepted placement has an unroutable edge.
     pub fn resolve(
@@ -506,11 +424,6 @@ impl SearchGrid {
                     .ok_or(MapError::Internal("accepted placement has unroutable edge"))?;
                 Ok(Mapping { ii, placements, schedule_len })
             }
-            None if self.timed_out.load(Ordering::SeqCst) => Err(MapError::Timeout {
-                budget_ms: self.deadline.map_or(0, |d| d.as_millis() as u64),
-                elapsed_ms: self.start.elapsed().as_millis() as u64,
-                cells_scanned: self.cells_scanned.load(Ordering::Relaxed),
-            }),
             None => Err(MapError::IiLimitExceeded { tried: self.mii + II_SLACK }),
         }
     }
@@ -719,7 +632,7 @@ pub fn repair_mapping(
 mod tests {
     use super::*;
     use crate::transform::{fuse_patterns, lower_special_ops, unroll};
-    use picachu_ir::kernels::{kernel_library, relu_kernel, softmax_kernel};
+    use picachu_ir::kernels::{kernel_library, relu_kernel, silu_kernel, softmax_kernel};
 
     fn picachu() -> CgraSpec {
         CgraSpec::picachu(4, 4)
@@ -997,51 +910,6 @@ mod tests {
         assert!(matches!(err, MapError::NoCapableTile(_)), "{err}");
     }
 
-    #[test]
-    fn zero_deadline_times_out() {
-        let k = softmax_kernel(4);
-        let fused = fuse_patterns(&k.loops[1].dfg);
-        let spec = picachu();
-        let err = map_dfg_with(
-            &fused,
-            &spec,
-            1,
-            &ResourceMask::full(&spec),
-            Some(Duration::ZERO),
-        )
-        .unwrap_err();
-        // deadline-skip path: with a zero budget every cell is skipped at
-        // claim time, so no cell is ever scanned and the telemetry says so
-        match err {
-            MapError::Timeout { budget_ms: 0, cells_scanned: 0, .. } => {}
-            other => panic!("expected zero-budget timeout with zero cells, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn timeout_reports_elapsed_and_cells() {
-        let k = softmax_kernel(4);
-        let fused = fuse_patterns(&k.loops[1].dfg);
-        let spec = picachu();
-        let err = map_dfg_with(
-            &fused,
-            &spec,
-            1,
-            &ResourceMask::full(&spec),
-            Some(Duration::ZERO),
-        )
-        .unwrap_err();
-        let MapError::Timeout { budget_ms, elapsed_ms, cells_scanned } = err else {
-            panic!("expected Timeout");
-        };
-        assert_eq!(budget_ms, 0);
-        assert_eq!(cells_scanned, 0);
-        // elapsed is wall-clock from grid preparation, so merely sane
-        assert!(elapsed_ms < 60_000, "elapsed {elapsed_ms} ms");
-        let msg = MapError::Timeout { budget_ms, elapsed_ms, cells_scanned }.to_string();
-        assert!(msg.contains("0 grid cells scanned"), "{msg}");
-    }
-
     fn assert_mapping_legal(dfg: &Dfg, spec: &CgraSpec, mask: &ResourceMask, m: &Mapping) {
         let mut slots = std::collections::HashSet::new();
         for p in &m.placements {
@@ -1180,9 +1048,10 @@ mod tests {
     // ---- Place→Route→Fold pipeline ----
 
     #[test]
-    fn auto_mode_is_greedy_at_paper_scale() {
-        // ≤ ANNEAL_TILE_THRESHOLD tiles: Auto must be bit-identical to the
-        // forced greedy engine (the pre-pipeline mapper) on 4×4 and 8×8.
+    fn default_engine_follows_fabric_size() {
+        // ≤ ANNEAL_TILE_THRESHOLD tiles: the default must be bit-identical
+        // to the forced greedy engine (the pre-pipeline mapper) on 4×4 and
+        // 8×8; above it, to the forced annealed engine.
         for spec in [CgraSpec::picachu(4, 4), CgraSpec::picachu(8, 8)] {
             assert!(spec.len() <= ANNEAL_TILE_THRESHOLD);
             let mask = ResourceMask::full(&spec);
@@ -1190,14 +1059,28 @@ mod tests {
                 for l in &k.loops {
                     let fused = fuse_patterns(&l.dfg);
                     assert_eq!(
-                        map_dfg_mode(&fused, &spec, 7, &mask, None, PnrMode::Auto),
-                        map_dfg_mode(&fused, &spec, 7, &mask, None, PnrMode::Greedy),
+                        map_dfg_with(&fused, &spec, 7, &mask, None),
+                        map_dfg_with(&fused, &spec, 7, &mask, Some(PnrMode::Greedy)),
                         "{} on {}x{}",
                         l.label,
                         spec.rows,
                         spec.cols
                     );
                 }
+            }
+        }
+        let spec = CgraSpec::picachu(9, 9);
+        assert!(spec.len() > ANNEAL_TILE_THRESHOLD);
+        let mask = ResourceMask::full(&spec);
+        for k in [relu_kernel(), silu_kernel(4)] {
+            for l in &k.loops {
+                let fused = fuse_patterns(&l.dfg);
+                assert_eq!(
+                    map_dfg_with(&fused, &spec, 7, &mask, None),
+                    map_dfg_with(&fused, &spec, 7, &mask, Some(PnrMode::Annealed)),
+                    "{} on 9x9",
+                    l.label
+                );
             }
         }
     }
@@ -1213,7 +1096,7 @@ mod tests {
             let fused = fuse_patterns(&l.dfg);
             let run = |threads: usize| {
                 picachu_runtime::set_thread_override(Some(threads));
-                let m = map_dfg_mode(&fused, &spec, 9, &mask, None, PnrMode::Annealed);
+                let m = map_dfg_with(&fused, &spec, 9, &mask, Some(PnrMode::Annealed));
                 picachu_runtime::set_thread_override(None);
                 m
             };
@@ -1237,7 +1120,7 @@ mod tests {
         for mode in [PnrMode::Greedy, PnrMode::Annealed] {
             for l in &k.loops {
                 let fused = fuse_patterns(&l.dfg);
-                let m = map_dfg_mode(&fused, &spec, 7, &mask, None, mode).unwrap();
+                let m = map_dfg_with(&fused, &spec, 7, &mask, Some(mode)).unwrap();
                 let routes = route_mapping(&fused, &spec, &mask, m.ii, &m.placements)
                     .expect("legal mapping must route");
                 let mut seen = 0;

@@ -13,7 +13,7 @@
 use crate::compile_cache::CompileCache;
 use crate::error::PicachuError;
 use crate::stages::{Accountant, CompileService, Dispatcher};
-use picachu_backend::{Accelerator, Breakdown, CompileHint, ExecutionReport};
+use picachu_backend::{Accelerator, Breakdown, ExecutionReport};
 use picachu_compiler::arch::CgraSpec;
 use picachu_compiler::mapper::{MapError, PnrReport, ResourceMask};
 use picachu_faults::FaultPlan;
@@ -401,12 +401,6 @@ impl PicachuEngine {
 impl Accelerator for PicachuEngine {
     fn name(&self) -> &str {
         "PICACHU"
-    }
-
-    /// PICACHU compiles kernels once into its compile cache and (at
-    /// INT16) vectorizes element-wise loops across 4 lanes.
-    fn compile_hint(&self) -> CompileHint {
-        CompileHint { cached_kernel_compilation: true, vectorizes_int16: true }
     }
 
     /// The backend-contract dispatch path: warms the compile cache for the
@@ -815,7 +809,6 @@ mod tests {
         assert_eq!(r.backend, "PICACHU");
         assert_eq!(r.energy_nj, inherent.energy_nj(&b));
         assert!(hosted.area_mm2() > 0.0);
-        assert!(hosted.compile_hint().cached_kernel_compilation);
         assert!(r.is_sane());
     }
 }

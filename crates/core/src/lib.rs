@@ -52,7 +52,7 @@ pub use engine::{
 };
 pub use error::PicachuError;
 pub use stages::{Accountant, CompileService, Dispatcher, PhaseTotals};
-pub use picachu_backend::{Accelerator, Breakdown, CompileHint, ExecutionReport};
+pub use picachu_backend::{Accelerator, Breakdown, ExecutionReport};
 pub use picachu_backend as backend;
 pub use picachu_faults as faults;
 pub use picachu_runtime as runtime;

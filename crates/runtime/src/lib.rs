@@ -7,12 +7,14 @@
 //! and both the DSE sweep and the figure harnesses evaluate many independent
 //! design points / kernels.
 //!
-//! Three primitives cover every call site:
+//! Three primitives cover every call site, and all of them run on one work
+//! loop, the one in [`try_parallel_find_first_grouped`]:
 //!
 //! * [`parallel_map`] / [`try_parallel_map`] — chunk-free dynamic work
 //!   sharing over an indexed item slice, in a panicking and a fallible
-//!   flavour; results come back in input order, so callers observe exactly
-//!   the serial output regardless of thread count.
+//!   flavour (one single-cell group per item); results come back in input
+//!   order, so callers observe exactly the serial output regardless of
+//!   thread count.
 //! * [`try_parallel_find_first`] — a deterministic *portfolio* search: run
 //!   fallible tasks `0..n` concurrently and return the success with the
 //!   **lowest index**. Workers claim indices in ascending order and skip any
@@ -173,14 +175,16 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// Applies `f` to every item, in parallel, returning results in input order.
 ///
-/// `f` receives `(index, &item)`. Work is shared dynamically (an atomic
-/// next-index counter), so heavy-tailed workloads — one design point mapping
-/// far slower than the rest — still balance. With one thread, one item, or
-/// when called from inside another pool, this is a plain serial loop.
+/// `f` receives `(index, &item)`. This is [`try_parallel_find_first_grouped`]
+/// with one single-cell group per item, so work is shared dynamically (an
+/// atomic next-index counter) and heavy-tailed workloads — one design point
+/// mapping far slower than the rest — still balance. With one thread, one
+/// item, or when called from inside another pool, this is a plain serial
+/// loop.
 ///
-/// A panicking task poisons only its own slot ([`WorkerPanic`]); tasks at
-/// lower indices still complete, and the reported index is the one a serial
-/// loop would have panicked at.
+/// A panicking task poisons only its own slot ([`WorkerPanic`]); the
+/// reported index is the lowest panicking one, where a serial loop would
+/// have panicked. On the parallel path items past it may still run.
 ///
 /// # Errors
 /// Returns [`WorkerPanic`] if any task closure panicked.
@@ -190,78 +194,10 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let n = items.len();
-    let threads = num_threads().min(n);
-    if threads <= 1 || in_worker() {
-        let mut out = Vec::with_capacity(n);
-        for (i, item) in items.iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                Ok(r) => out.push(r),
-                Err(p) => return Err(WorkerPanic { index: i, message: panic_message(p) }),
-            }
-        }
-        return Ok(out);
-    }
-    let next = AtomicUsize::new(0);
-    // lowest panicking index so far; items above it are skipped (a serial
-    // loop would never have reached them), items below still run and may
-    // lower it further.
-    let first_panic = AtomicUsize::new(usize::MAX);
-    let panic_msg: Mutex<Option<WorkerPanic>> = Mutex::new(None);
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    {
-        let slot_refs: Vec<Mutex<&mut Option<R>>> = slots.iter_mut().map(Mutex::new).collect();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    IN_WORKER.with(|w| w.set(true));
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n || i > first_panic.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-                            Ok(r) => {
-                                // each index is claimed exactly once, so the
-                                // lock is uncontended; it only exists to hand
-                                // the &mut slot across the thread boundary.
-                                **lock_unpoisoned(&slot_refs[i]) = Some(r);
-                            }
-                            Err(p) => {
-                                let mut w = lock_unpoisoned(&panic_msg);
-                                if i < first_panic.load(Ordering::SeqCst) {
-                                    first_panic.store(i, Ordering::SeqCst);
-                                    *w = Some(WorkerPanic {
-                                        index: i,
-                                        message: panic_message(p),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
-    }
-    if let Some(wp) = lock_unpoisoned(&panic_msg).take() {
-        return Err(wp);
-    }
-    let mut out = Vec::with_capacity(n);
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(r) => out.push(r),
-            // unreachable: every non-panicking claimed index filled its slot
-            // and a panic would have returned above — but degrade to a typed
-            // error rather than trusting that invariant with a panic.
-            None => {
-                return Err(WorkerPanic {
-                    index: i,
-                    message: "internal: result slot never filled".to_string(),
-                })
-            }
-        }
-    }
-    Ok(out)
+    let found =
+        try_parallel_find_first_grouped(&vec![1; items.len()], |g, _| Some(f(g, &items[g])))?;
+    // every single-cell group succeeds unless it panicked, which returned above
+    Ok(found.into_iter().flatten().map(|(_, r)| r).collect())
 }
 
 /// [`try_parallel_map`] for callers that treat a task panic as a bug.

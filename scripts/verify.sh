@@ -166,4 +166,12 @@ cmp "$DSE_SCRATCH/results/pareto.json" "$DSE_SCRATCH/pareto.t1.json" \
 python3 scripts/check_rows.py dse "$DSE_SCRATCH/results/pareto.json"
 rm -rf "$DSE_SCRATCH"
 
+echo "== perfbench (builds against the crates; one short traced compile-cold cycle) =="
+# perfbench is a workspace of its own, so a crate API change that breaks it
+# is invisible to the stages above. One traced cycle also replays
+# SearchGrid::prepare-driven placement layer by layer and fails unless the
+# replay reproduces the timed phase. Built into target/ like the rest.
+CARGO_TARGET_DIR="$REPO_ROOT/target" \
+  python3 perfbench/run.py --workload compile-cold --seed 1 --seconds 1 --trace 1
+
 echo "verify: OK"

@@ -120,18 +120,6 @@ fn picachu_trait_path_preserves_oracle_identities() {
 }
 
 #[test]
-fn compile_hints_distinguish_compiled_from_analytical_backends() {
-    let hints: Vec<(String, bool)> = all_backends()
-        .iter()
-        .map(|b| (b.name().to_string(), b.compile_hint().cached_kernel_compilation))
-        .collect();
-    for (name, cached) in &hints {
-        let expect = matches!(name.as_str(), "PICACHU" | "CGRA-base");
-        assert_eq!(*cached, expect, "{name}: cached_kernel_compilation");
-    }
-}
-
-#[test]
 fn cost_hints_are_exact_when_warm_and_bounded_when_cold() {
     // the PR-6 placement contract: `estimate_trace` must agree with the
     // measured `execute_trace(..).total()` to HINT_WARM_TOLERANCE once a

@@ -8,7 +8,7 @@ use picachu::faults::FaultPlan;
 use picachu_llm::trace::TraceOp;
 use picachu_cgra::{CgraConfig, CgraSimulator};
 use picachu_compiler::arch::CgraSpec;
-use picachu_compiler::mapper::{map_dfg, map_dfg_mode, map_dfg_with, PnrMode, ResourceMask};
+use picachu_compiler::mapper::{map_dfg, map_dfg_with, PnrMode, ResourceMask};
 use picachu_compiler::transform::{fuse_patterns, unroll};
 use picachu_ir::kernels::{kernel_library, relu_kernel};
 use picachu_nonlinear::NonlinearOp;
@@ -264,7 +264,7 @@ fn congestion_ripup_never_routes_over_a_dead_link() {
     for k in kernel_library(4) {
         for l in &k.loops {
             let dfg = fuse_patterns(&unroll(&l.dfg, 4));
-            let Ok(m) = map_dfg_mode(&dfg, &spec, 17, &mask, None, PnrMode::Annealed) else {
+            let Ok(m) = map_dfg_with(&dfg, &spec, 17, &mask, Some(PnrMode::Annealed)) else {
                 continue; // a loop that cannot meet II on the cut fabric is fine
             };
             let routes =
