@@ -77,11 +77,6 @@ impl HomogeneousCgraModel {
             UnitCost { area_mm2: 1.1, power_mw: 160.0 },
         )
     }
-
-    /// The compiled II of loop `idx` of `op` (for tests/figures).
-    pub fn loop_ii(&self, op: NonlinearOp, idx: usize) -> Option<u32> {
-        self.mappings.get(&op).and_then(|ls| ls.get(idx)).map(|m| m.ii)
-    }
 }
 
 impl NonlinearExecutor for HomogeneousCgraModel {

@@ -53,11 +53,6 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// A workload from an explicit trace.
-    pub fn from_trace(name: impl Into<String>, trace: Vec<TraceOp>) -> Workload {
-        Workload { name: name.into(), trace }
-    }
-
     /// Full-model prefill at a sequence length.
     pub fn prefill(cfg: &ModelConfig, seq: usize) -> Workload {
         Workload {

@@ -172,16 +172,6 @@ impl ResourceMask {
         self.alive.iter().filter(|&&a| a).count()
     }
 
-    /// Number of masked-out tiles.
-    pub fn dead_tile_count(&self) -> usize {
-        self.alive.len() - self.alive_count()
-    }
-
-    /// Number of masked-out links.
-    pub fn dead_link_count(&self) -> usize {
-        self.dead_links.len()
-    }
-
     /// Whether the mesh link between tiles `a` and `b` is usable: both
     /// endpoints alive and the (direction-agnostic) link not masked out.
     /// Adjacency is the caller's concern — the router only asks about pairs

@@ -9,7 +9,10 @@
 //!   paper-scale fabrics (≤ [`super::ANNEAL_TILE_THRESHOLD`] tiles), so every
 //!   mapping the repo has ever golden-tested stays bit-identical, and it is
 //!   the re-entry point for incremental repair ([`try_place_pinned`]: the
-//!   Place pass with pinned placements).
+//!   Place pass with pinned placements). Its occupancy is a set of bit
+//!   planes over the II residues ([`State`]), so a node's slot search on one
+//!   tile is a few word operations per route hop covering every candidate
+//!   cycle, not one probe per cycle.
 //! * **Annealed** ([`try_place_annealed`]) — cgra_pnr-style simulated
 //!   annealing over tile assignments for large fabrics, where greedy
 //!   scatter congests the mesh. The SA cost function combines estimated
@@ -33,51 +36,181 @@ use picachu_ir::dfg::{Dfg, NodeId};
 use picachu_ir::opcode::Opcode;
 use picachu_testkit::TestRng;
 
+// Routing occupancy is kept as two planes, "at least one operand" (`used`)
+// and "at least two" (`full`), which count exactly up to a capacity of two.
+const _: () = assert!(ROUTE_CAP == 2, "State's used/full planes encode ROUTE_CAP = 2");
+
+/// Occupancy of the time-extended fabric modulo II, as bit planes: per tile,
+/// one bit per residue `0..II` in each of
+///
+/// * `busy` — the tile's compute slot is taken;
+/// * `used` — at least one routed operand passes through the tile;
+/// * `full` — [`ROUTE_CAP`] operands do, so no further route may.
+///
+/// A tile's plane stores its `II` bits twice over (bits `q` and `q + II`)
+/// in `2·⌈II/64⌉` words. The `II` bits starting at any residue `r` — the
+/// plane rotated right by `r` — are then one straight read ([`window`]),
+/// so a slot search shifts words instead of reducing each cycle modulo II.
+/// Every II takes the same code path; past 64 a window spans more words.
 pub(crate) struct State<'a> {
     spec: &'a CgraSpec,
     mask: &'a ResourceMask,
     ii: u32,
-    /// compute occupancy: (tile, slot) -> taken
-    pub(crate) compute: Vec<bool>,
-    /// routing occupancy counts: (tile, slot)
-    routing: Vec<u32>,
+    /// Words in one window of `II` bits: `⌈II/64⌉`.
+    words: usize,
+    busy: Vec<u64>,
+    used: Vec<u64>,
+    full: Vec<u64>,
 }
 
 impl<'a> State<'a> {
     pub(crate) fn new(spec: &'a CgraSpec, mask: &'a ResourceMask, ii: u32) -> State<'a> {
-        State {
-            spec,
-            mask,
-            ii,
-            compute: vec![false; spec.len() * ii as usize],
-            routing: vec![0; spec.len() * ii as usize],
+        let words = (ii as usize).div_ceil(64);
+        let len = spec.len() * 2 * words;
+        State { spec, mask, ii, words, busy: vec![0; len], used: vec![0; len], full: vec![0; len] }
+    }
+
+    /// The words of `tile` in each plane.
+    fn span(&self, tile: usize) -> std::ops::Range<usize> {
+        let stride = 2 * self.words;
+        tile * stride..(tile + 1) * stride
+    }
+
+    /// The residue of cycle `time`.
+    fn residue(&self, time: u32) -> u32 {
+        time % self.ii
+    }
+
+    /// The residue after `q`.
+    fn next(&self, q: u32) -> u32 {
+        if q + 1 == self.ii {
+            0
+        } else {
+            q + 1
         }
     }
 
-    pub(crate) fn idx(&self, tile: usize, time: u32) -> usize {
-        tile * self.ii as usize + (time % self.ii) as usize
+    /// `(q + delta) mod II` for a residue `q` and a `delta` no larger than a
+    /// route's hop count: steps by whole IIs instead of dividing.
+    fn shift(&self, q: u32, delta: i64) -> u32 {
+        let ii = i64::from(self.ii);
+        let mut s = i64::from(q) + delta;
+        while s < 0 {
+            s += ii;
+        }
+        while s >= ii {
+            s -= ii;
+        }
+        s as u32
     }
 
-    /// Checks that the operand leaving `from` at `depart` can be routed to
-    /// `to` (arriving at `depart + hops`): the pair must be connected on the
-    /// alive fabric and every intermediate tile must have routing capacity.
-    fn route_free(&self, from: usize, to: usize, depart: u32) -> bool {
-        let Some(path) = self.mask.path(self.spec, from, to) else {
+    fn busy_at(&self, tile: usize, q: u32) -> bool {
+        bit(&self.busy[self.span(tile)], q)
+    }
+
+    fn take_compute(&mut self, tile: usize, q: u32) {
+        let span = self.span(tile);
+        set_bit(&mut self.busy[span], self.ii, q);
+    }
+
+    /// Whether an operand routed `from → to` whose first intermediate tile
+    /// it crosses at residue `q` finds every intermediate tile below
+    /// [`ROUTE_CAP`]; `false` when the pair is disconnected on the alive
+    /// fabric.
+    fn route_free(&self, from: usize, to: usize, mut q: u32) -> bool {
+        let Some(mut path) = self.mask.path(self.spec, from, to) else {
             return false;
         };
-        path.enumerate()
-            .all(|(k, tile)| self.routing[self.idx(tile, depart + k as u32 + 1)] < ROUTE_CAP)
+        path.all(|tile| {
+            let free = !bit(&self.full[self.span(tile)], q);
+            q = self.next(q);
+            free
+        })
     }
 
-    fn route_commit(&mut self, from: usize, to: usize, depart: u32) {
-        let Some(path) = self.mask.path(self.spec, from, to) else {
-            return; // unreachable: route_free succeeded before every commit
+    /// Adds one operand to every intermediate tile of the route `from → to`,
+    /// the first crossed at residue `q`.
+    fn route_commit(&mut self, from: usize, to: usize, mut q: u32) {
+        let (spec, mask) = (self.spec, self.mask);
+        let Some(path) = mask.path(spec, from, to) else {
+            return; // unreachable: every committed pair has a hop count
         };
-        for (k, tile) in path.enumerate() {
-            let i = self.idx(tile, depart + k as u32 + 1);
-            self.routing[i] += 1;
+        for tile in path {
+            let span = self.span(tile);
+            let (used, full) = (&mut self.used[span.clone()], &mut self.full[span]);
+            for b in [q, q + self.ii] {
+                // a second operand fills the slot, a first one uses it
+                let (w, m) = ((b >> 6) as usize, 1 << (b & 63));
+                full[w] |= used[w] & m;
+                used[w] |= m;
+            }
+            q = self.next(q);
         }
     }
+
+    /// Writes into `blocked` the compute occupancy of `tile` from residue
+    /// `start` on: bit `d` is set when slot `start + d` is taken.
+    fn block_compute(&self, tile: usize, start: u32, blocked: &mut [u64]) {
+        let plane = &self.busy[self.span(tile)];
+        for (i, b) in blocked.iter_mut().enumerate() {
+            *b = window(plane, start, i);
+        }
+    }
+
+    /// ORs into `blocked` the candidates at which the route `from → to`
+    /// would cross a full tile: at candidate `d` the route crosses its
+    /// first intermediate tile at residue `r + d`, its next at `r + d + 1`,
+    /// and so on. One walk of the path covers every candidate.
+    fn block_route(&self, from: usize, to: usize, mut r: u32, blocked: &mut [u64]) {
+        let Some(path) = self.mask.path(self.spec, from, to) else {
+            return; // callers only route pairs with a hop count
+        };
+        for tile in path {
+            let plane = &self.full[self.span(tile)];
+            for (i, b) in blocked.iter_mut().enumerate() {
+                *b |= window(plane, r, i);
+            }
+            r = self.next(r);
+        }
+    }
+}
+
+/// Bit `q` of one tile's plane.
+fn bit(plane: &[u64], q: u32) -> bool {
+    plane[(q >> 6) as usize] >> (q & 63) & 1 == 1
+}
+
+/// Sets residue `q` in both copies of one tile's plane.
+fn set_bit(plane: &mut [u64], ii: u32, q: u32) {
+    for b in [q, q + ii] {
+        plane[(b >> 6) as usize] |= 1 << (b & 63);
+    }
+}
+
+/// Word `i` of the `II` bits of one tile's plane that start at residue `r`:
+/// plane bits `r + 64i ..` of the doubled copy. Bits past `II` in the last
+/// word are noise; [`free_slots`] masks them.
+fn window(plane: &[u64], r: u32, i: usize) -> u64 {
+    let w = (r >> 6) as usize + i;
+    let pair = u128::from(plane[w + 1]) << 64 | u128::from(plane[w]);
+    (pair >> (r & 63)) as u64
+}
+
+/// The clear bits `d < ii` of `blocked`, ascending: the candidate offsets a
+/// slot search tries, in the order a scan of `dt = 0..II` would.
+fn free_slots(blocked: &[u64], ii: u32) -> impl Iterator<Item = u32> + '_ {
+    blocked.iter().enumerate().flat_map(move |(i, &b)| {
+        let base = 64 * i as u32;
+        let valid = if ii - base >= 64 { u64::MAX } else { (1 << (ii - base)) - 1 };
+        let mut free = !b & valid;
+        std::iter::from_fn(move || {
+            (free != 0).then(|| {
+                let d = free.trailing_zeros();
+                free &= free - 1;
+                base + d
+            })
+        })
+    })
 }
 
 /// Scheduling priority per node: the ASAP level, except that φ-class nodes
@@ -307,11 +440,11 @@ pub(crate) fn pin_state<'a>(
         if !mask.tile_alive(pv.tile) || !spec.tile_supports(pv.tile, node.op) {
             return Err(node.id.0);
         }
-        let slot = st.idx(pv.tile, pv.time);
-        if st.compute[slot] {
+        let q = st.residue(pv.time);
+        if st.busy_at(pv.tile, q) {
             return Err(node.id.0);
         }
-        st.compute[slot] = true;
+        st.take_compute(pv.tile, q);
     }
     for node in dfg.nodes() {
         let Some(pv) = pinned[node.id.0] else { continue };
@@ -330,16 +463,17 @@ pub(crate) fn pin_state<'a>(
                 let Some(depart) = pv.time.checked_sub(h) else {
                     return Err(node.id.0);
                 };
-                if depart < pu.time + lat || !st.route_free(pu.tile, pv.tile, depart) {
+                let q = st.residue(depart + 1);
+                if depart < pu.time + lat || !st.route_free(pu.tile, pv.tile, q) {
                     return Err(node.id.0);
                 }
-                routes.push((pu.tile, pv.tile, depart));
+                routes.push((pu.tile, pv.tile, q));
             } else if pu.time + lat + h > pv.time + e.distance * ii {
                 return Err(node.id.0);
             }
         }
-        for &(from, to, depart) in &routes {
-            st.route_commit(from, to, depart);
+        for &(from, to, q) in &routes {
+            st.route_commit(from, to, q);
         }
     }
     Ok(st)
@@ -348,6 +482,14 @@ pub(crate) fn pin_state<'a>(
 /// The placement engine shared by the from-scratch search and incremental
 /// repair: places every node without a placement, in priority order, into
 /// the pre-populated `st`/`placed`.
+///
+/// A node tries its capable tiles in a shuffled order. On one tile its `II`
+/// candidate cycles `earliest + dt` are searched together: the tile's
+/// `busy` window ORed with the `full` windows along every operand route,
+/// each read at the residue the route would cross it, leaves a clear bit for
+/// each candidate whose compute slot and routes are free. The clear bits are
+/// tried in `dt` order against the remaining filters, so the chosen
+/// `(tile, time)` is the one a probe of every `dt` in turn would pick.
 ///
 /// `repair` enables two extra candidate filters that only arise when some
 /// nodes are already placed *ahead* of the priority order (pinned by
@@ -373,7 +515,9 @@ pub(crate) fn place_rest(
     // per-node scratch, reused across the nodes of this attempt
     let mut preds: Vec<(usize, u32)> = Vec::new();
     let mut pred_hops: Vec<u32> = Vec::new();
+    let mut rdy_residues: Vec<u32> = Vec::new();
     let mut tiles: Vec<usize> = Vec::with_capacity(spec.len());
+    let mut blocked = vec![0u64; st.words];
     for &v in &order {
         if placed[v].is_some() {
             continue; // pinned by the repair path
@@ -388,7 +532,10 @@ pub(crate) fn place_rest(
             let p = placed[e.from.0]?;
             preds.push((p.tile, p.time + dfg.nodes()[e.from.0].op.latency()));
         }
+        rdy_residues.clear();
+        rdy_residues.extend(preds.iter().map(|&(_, rdy)| st.residue(rdy)));
         let dynamic_floor = if preds.is_empty() { ctx.source_floor(dfg, v, &placed) } else { 0 };
+        let floor_residue = st.residue(dynamic_floor);
 
         tiles.clear();
         tiles.extend(ctx.capable(v).iter().map(|&t| t as usize));
@@ -406,26 +553,25 @@ pub(crate) fn place_rest(
                     None => continue 'tile,
                 }
             }
-            let earliest = preds
-                .iter()
-                .zip(&pred_hops)
-                .map(|(&(_, rdy), &h)| rdy + h)
-                .max()
-                .unwrap_or(dynamic_floor);
-            for dt in 0..ii {
+            // the earliest issue cycle and its residue `start`: candidate
+            // `dt` is cycle `earliest + dt`, slot `start + dt`
+            let (mut earliest, mut start) = (dynamic_floor, floor_residue);
+            for (j, (&(_, rdy), &h)) in preds.iter().zip(&pred_hops).enumerate() {
+                if j == 0 || rdy + h > earliest {
+                    (earliest, start) = (rdy + h, st.shift(rdy_residues[j], i64::from(h)));
+                }
+            }
+            // every candidate at once: the slot's compute bit, then each
+            // operand route. An h-hop route arriving at `t` crosses its
+            // k-th intermediate tile at `t − h + k + 1`.
+            st.block_compute(tile, start, &mut blocked);
+            for (&(pt, _), &h) in preds.iter().zip(&pred_hops) {
+                st.block_route(pt, tile, st.shift(start, 1 - i64::from(h)), &mut blocked);
+            }
+            for dt in free_slots(&blocked, ii) {
                 let t = earliest + dt;
-                if st.compute[st.idx(tile, t)] {
-                    continue;
-                }
-                // routing from each predecessor
-                let routes_ok = preds.iter().zip(&pred_hops).all(|(&(pt, rdy), &h)| {
-                    // operand departs when ready; slack waits at source reg
-                    let depart = t - h; // arrive exactly at t
-                    depart >= rdy && st.route_free(pt, tile, depart)
-                });
-                if !routes_ok {
-                    continue;
-                }
+                // operands depart when ready; slack waits at source reg
+                debug_assert!(preds.iter().zip(&pred_hops).all(|(&(_, rdy), &h)| t - h >= rdy));
                 // carried-consumer deadlines (consumers already placed)
                 let deadlines_ok = ctx.carried_out(v).all(|(c, d)| {
                     match placed[c] {
@@ -449,7 +595,7 @@ pub(crate) fn place_rest(
                         match pc.time.checked_sub(h) {
                             Some(depart) => {
                                 depart >= t + node.op.latency()
-                                    && st.route_free(tile, pc.tile, depart)
+                                    && st.route_free(tile, pc.tile, st.residue(depart + 1))
                             }
                             None => false,
                         }
@@ -477,17 +623,16 @@ pub(crate) fn place_rest(
                     }
                 }
                 // commit
-                let i = st.idx(tile, t);
-                st.compute[i] = true;
+                let q = st.shift(start, i64::from(dt));
+                st.take_compute(tile, q);
                 for (&(pt, _), &h) in preds.iter().zip(&pred_hops) {
-                    let depart = t - h;
-                    st.route_commit(pt, tile, depart);
+                    st.route_commit(pt, tile, st.shift(q, 1 - i64::from(h)));
                 }
                 if repair {
                     for c in ctx.consumers_of(v) {
                         if let Some(pc) = placed[c] {
                             if let Some(h) = mask.hops(spec, tile, pc.tile) {
-                                st.route_commit(tile, pc.tile, pc.time - h);
+                                st.route_commit(tile, pc.tile, st.residue(pc.time - h + 1));
                             }
                         }
                     }
@@ -800,6 +945,10 @@ fn contribution(
 /// concentrates adjacent-tile traffic into unfixable (link, slot)
 /// collisions. The check is conservative (no folding credit) and the
 /// [`super::route`] pass stays the final gate.
+///
+/// Compute slots live in the greedy placer's `busy` plane ([`State`]): one
+/// window read at the residue of `earliest` lists a node's free slots in
+/// `dt` order.
 #[allow(clippy::too_many_arguments)]
 fn schedule_on_tiles(
     dfg: &Dfg,
@@ -811,8 +960,8 @@ fn schedule_on_tiles(
     tiles: &[usize],
 ) -> Option<Vec<Placement>> {
     let order = ctx.order(rng);
-    let mut compute = vec![false; spec.len() * ii as usize];
-    let slot_of = |tile: usize, t: u32| tile * ii as usize + (t % ii) as usize;
+    let mut st = State::new(spec, mask, ii);
+    let mut blocked = vec![0u64; st.words];
     // canonical-path channel occupancy per (directed link, slot)
     let mut channels = vec![0u32; link_slots(spec, ii)];
     let mut placed: Vec<Option<Placement>> = vec![None; dfg.len()];
@@ -836,12 +985,11 @@ fn schedule_on_tiles(
         // source nodes align with their consumers' other inputs, as in the
         // greedy placer's dynamic floor
         let earliest = latest_rdy.unwrap_or_else(|| ctx.source_floor(dfg, v, &placed));
+        let start = st.residue(earliest);
+        st.block_compute(tile, start, &mut blocked);
         let mut done = false;
-        for dt in 0..ii {
+        for dt in free_slots(&blocked, ii) {
             let t = earliest + dt;
-            if compute[slot_of(tile, t)] {
-                continue;
-            }
             let deadlines_ok = ctx.carried_out(v).all(|(c, d)| match placed[c] {
                 Some(pc) => match mask.hops(spec, tile, pc.tile) {
                     Some(h) => t + node.op.latency() + h <= pc.time + d * ii,
@@ -872,7 +1020,7 @@ fn schedule_on_tiles(
                     channels[channel(a, b, *h, j)] += 1;
                 }
             }
-            compute[slot_of(tile, t)] = true;
+            st.take_compute(tile, st.shift(start, i64::from(dt)));
             placed[v] = Some(Placement { node: NodeId(v), tile, time: t });
             done = true;
             break;
@@ -936,5 +1084,298 @@ mod tests {
             }
         }
         assert!(dfgs > 50, "{dfgs} DFGs");
+    }
+
+    /// The greedy placer as it searched before the residue planes: a
+    /// per-(tile, slot) compute flag and routing count, and a scan of
+    /// `dt = 0..II` that re-walks every operand route per candidate slot.
+    mod legacy {
+        use super::super::PlacerCtx;
+        use crate::arch::CgraSpec;
+        use crate::mapper::{Placement, ResourceMask, ROUTE_CAP};
+        use picachu_ir::dfg::{Dfg, NodeId};
+        use picachu_testkit::TestRng;
+
+        pub(super) struct State<'a> {
+            spec: &'a CgraSpec,
+            mask: &'a ResourceMask,
+            ii: u32,
+            compute: Vec<bool>,
+            routing: Vec<u32>,
+        }
+
+        impl<'a> State<'a> {
+            pub(super) fn new(spec: &'a CgraSpec, mask: &'a ResourceMask, ii: u32) -> State<'a> {
+                let n = spec.len() * ii as usize;
+                State { spec, mask, ii, compute: vec![false; n], routing: vec![0; n] }
+            }
+
+            fn idx(&self, tile: usize, time: u32) -> usize {
+                tile * self.ii as usize + (time % self.ii) as usize
+            }
+
+            fn route_free(&self, from: usize, to: usize, depart: u32) -> bool {
+                let Some(path) = self.mask.path(self.spec, from, to) else {
+                    return false;
+                };
+                path.enumerate().all(|(k, tile)| {
+                    self.routing[self.idx(tile, depart + k as u32 + 1)] < ROUTE_CAP
+                })
+            }
+
+            fn route_commit(&mut self, from: usize, to: usize, depart: u32) {
+                let Some(path) = self.mask.path(self.spec, from, to) else { return };
+                for (k, tile) in path.enumerate() {
+                    let i = self.idx(tile, depart + k as u32 + 1);
+                    self.routing[i] += 1;
+                }
+            }
+        }
+
+        pub(super) fn pin_state<'a>(
+            dfg: &Dfg,
+            spec: &'a CgraSpec,
+            mask: &'a ResourceMask,
+            ii: u32,
+            pinned: &[Option<Placement>],
+        ) -> Result<State<'a>, usize> {
+            let mut st = State::new(spec, mask, ii);
+            let mut routes: Vec<(usize, usize, u32)> = Vec::new();
+            for node in dfg.nodes() {
+                let Some(pv) = pinned[node.id.0] else { continue };
+                if !mask.tile_alive(pv.tile) || !spec.tile_supports(pv.tile, node.op) {
+                    return Err(node.id.0);
+                }
+                let slot = st.idx(pv.tile, pv.time);
+                if st.compute[slot] {
+                    return Err(node.id.0);
+                }
+                st.compute[slot] = true;
+            }
+            for node in dfg.nodes() {
+                let Some(pv) = pinned[node.id.0] else { continue };
+                routes.clear();
+                for e in &node.inputs {
+                    let Some(pu) = pinned[e.from.0] else { continue };
+                    let lat = dfg.nodes()[e.from.0].op.latency();
+                    let Some(h) = mask.hops(spec, pu.tile, pv.tile) else {
+                        return Err(node.id.0);
+                    };
+                    if e.distance == 0 {
+                        let Some(depart) = pv.time.checked_sub(h) else {
+                            return Err(node.id.0);
+                        };
+                        if depart < pu.time + lat || !st.route_free(pu.tile, pv.tile, depart) {
+                            return Err(node.id.0);
+                        }
+                        routes.push((pu.tile, pv.tile, depart));
+                    } else if pu.time + lat + h > pv.time + e.distance * ii {
+                        return Err(node.id.0);
+                    }
+                }
+                for &(from, to, depart) in &routes {
+                    st.route_commit(from, to, depart);
+                }
+            }
+            Ok(st)
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn place_rest(
+            dfg: &Dfg,
+            spec: &CgraSpec,
+            mask: &ResourceMask,
+            ii: u32,
+            rng: &mut TestRng,
+            ctx: &PlacerCtx,
+            mut st: State<'_>,
+            mut placed: Vec<Option<Placement>>,
+            repair: bool,
+        ) -> Option<Vec<Placement>> {
+            let order = ctx.order(rng);
+            let mut preds: Vec<(usize, u32)> = Vec::new();
+            let mut pred_hops: Vec<u32> = Vec::new();
+            let mut tiles: Vec<usize> = Vec::with_capacity(spec.len());
+            for &v in &order {
+                if placed[v].is_some() {
+                    continue;
+                }
+                let node = &dfg.nodes()[v];
+                preds.clear();
+                for e in node.inputs.iter().filter(|e| e.distance == 0) {
+                    let p = placed[e.from.0]?;
+                    preds.push((p.tile, p.time + dfg.nodes()[e.from.0].op.latency()));
+                }
+                let dynamic_floor =
+                    if preds.is_empty() { ctx.source_floor(dfg, v, &placed) } else { 0 };
+                tiles.clear();
+                tiles.extend(ctx.capable(v).iter().map(|&t| t as usize));
+                rng.shuffle(&mut tiles);
+                let mut placed_here = false;
+                'tile: for &tile in &tiles {
+                    pred_hops.clear();
+                    for &(pt, _) in &preds {
+                        match mask.hops(spec, pt, tile) {
+                            Some(h) => pred_hops.push(h),
+                            None => continue 'tile,
+                        }
+                    }
+                    let earliest = preds
+                        .iter()
+                        .zip(&pred_hops)
+                        .map(|(&(_, rdy), &h)| rdy + h)
+                        .max()
+                        .unwrap_or(dynamic_floor);
+                    for dt in 0..ii {
+                        let t = earliest + dt;
+                        if st.compute[st.idx(tile, t)] {
+                            continue;
+                        }
+                        let routes_ok = preds.iter().zip(&pred_hops).all(|(&(pt, rdy), &h)| {
+                            let depart = t - h;
+                            depart >= rdy && st.route_free(pt, tile, depart)
+                        });
+                        if !routes_ok {
+                            continue;
+                        }
+                        let deadlines_ok = ctx.carried_out(v).all(|(c, d)| match placed[c] {
+                            Some(pc) => match mask.hops(spec, tile, pc.tile) {
+                                Some(h) => t + node.op.latency() + h <= pc.time + d * ii,
+                                None => false,
+                            },
+                            None => true,
+                        });
+                        if !deadlines_ok {
+                            continue;
+                        }
+                        if repair {
+                            let pinned_consumers_ok = ctx.consumers_of(v).all(|c| {
+                                let Some(pc) = placed[c] else { return true };
+                                let Some(h) = mask.hops(spec, tile, pc.tile) else {
+                                    return false;
+                                };
+                                match pc.time.checked_sub(h) {
+                                    Some(depart) => {
+                                        depart >= t + node.op.latency()
+                                            && st.route_free(tile, pc.tile, depart)
+                                    }
+                                    None => false,
+                                }
+                            });
+                            if !pinned_consumers_ok {
+                                continue;
+                            }
+                            let carried_in_ok =
+                                node.inputs.iter().filter(|e| e.distance > 0).all(|e| {
+                                    let Some(pu) = placed[e.from.0] else { return true };
+                                    match mask.hops(spec, pu.tile, tile) {
+                                        Some(h) => {
+                                            pu.time + dfg.nodes()[e.from.0].op.latency() + h
+                                                <= t + e.distance * ii
+                                        }
+                                        None => false,
+                                    }
+                                });
+                            if !carried_in_ok {
+                                continue;
+                            }
+                        }
+                        let i = st.idx(tile, t);
+                        st.compute[i] = true;
+                        for (&(pt, _), &h) in preds.iter().zip(&pred_hops) {
+                            st.route_commit(pt, tile, t - h);
+                        }
+                        if repair {
+                            for c in ctx.consumers_of(v) {
+                                if let Some(pc) = placed[c] {
+                                    if let Some(h) = mask.hops(spec, tile, pc.tile) {
+                                        st.route_commit(tile, pc.tile, pc.time - h);
+                                    }
+                                }
+                            }
+                        }
+                        placed[v] = Some(Placement { node: NodeId(v), tile, time: t });
+                        placed_here = true;
+                        break 'tile;
+                    }
+                }
+                if !placed_here {
+                    return None;
+                }
+            }
+            super::super::verify_recurrences(dfg, spec, mask, ii, &placed)?;
+            placed.into_iter().collect()
+        }
+    }
+
+    /// Greedy and repair placement on the residue planes against the
+    /// per-slot scan they replace: the same placement (or failure) from the
+    /// same stream, and the stream left at the same position.
+    #[test]
+    fn slot_masks_match_legacy_scan() {
+        use crate::mapper::min_ii_with;
+        let grid = CgraSpec::picachu(4, 4);
+        let row = CgraSpec::picachu(1, 3);
+        let fabrics = [
+            (&grid, ResourceMask::full(&grid)),
+            (&grid, ResourceMask::degraded(&grid, [5], [(0, 1), (10, 14)])),
+            (&row, ResourceMask::full(&row)),
+        ];
+        let loops: Vec<_> = kernel_library(4).into_iter().flat_map(|k| k.loops).collect();
+        let (mut greedy, mut repairs, mut wide) = (0, 0, 0);
+        for ((spec, mask), l, uf) in fabrics
+            .iter()
+            .flat_map(|f| loops.iter().map(move |l| (f, l)))
+            .flat_map(|(f, l)| [1, 2, 4, 8].map(|uf| (f, l, uf)))
+        {
+            let dfg = fuse_patterns(&unroll(&l.dfg, uf));
+            let ctx = PlacerCtx::new(&dfg, spec, mask);
+            let healthy = ResourceMask::full(spec);
+            let healthy_ctx = PlacerCtx::new(&dfg, spec, &healthy);
+            let mii = min_ii_with(&dfg, spec, mask).expect("library loops map");
+            let mut iis = vec![mii, mii + 1, mii + 3, 63, 64, 65, 127, 130];
+            iis.retain(|&ii| ii >= mii);
+            iis.dedup();
+            for (ii, seed) in iis.into_iter().flat_map(|ii| [(ii, 0), (ii, 1)]) {
+                let at = format!("{} uf {uf} II {ii} seed {seed} {mask}", l.label);
+                let seed = seed ^ u64::from(ii) << 8;
+                let legacy_rest = |rng: &mut TestRng, st, placed, repair| {
+                    legacy::place_rest(&dfg, spec, mask, ii, rng, &ctx, st, placed, repair)
+                };
+
+                let mut a = TestRng::seed_from_u64(seed);
+                let mut b = TestRng::seed_from_u64(seed);
+                let got = try_place(&dfg, spec, mask, ii, &mut a, &ctx);
+                let empty = vec![None; dfg.len()];
+                let want = legacy_rest(&mut b, legacy::State::new(spec, mask, ii), empty, false);
+                assert_eq!(got, want, "greedy: {at}");
+                assert_eq!(a.next_u64(), b.next_u64(), "greedy stream: {at}");
+                greedy += 1;
+                wide += usize::from(ii > 64 && got.is_some());
+
+                // repair: a healthy mapping with its nodes on dead tiles and
+                // a random quarter of the rest un-pinned
+                let mut r = TestRng::seed_from_u64(seed);
+                let Some(base) = try_place(&dfg, spec, &healthy, ii, &mut r, &healthy_ctx) else {
+                    continue;
+                };
+                let pins: Vec<Option<Placement>> = base
+                    .iter()
+                    .map(|&p| (mask.tile_alive(p.tile) && r.gen_range(0u32..4) > 0).then_some(p))
+                    .collect();
+                let legacy_pins = legacy::pin_state(&dfg, spec, mask, ii, &pins);
+                let got_pins = pin_state(&dfg, spec, mask, ii, &pins);
+                assert_eq!(got_pins.as_ref().err(), legacy_pins.as_ref().err(), "pin_state: {at}");
+                let Ok(legacy_st) = legacy_pins else { continue };
+                let mut a = TestRng::seed_from_u64(!seed);
+                let mut b = TestRng::seed_from_u64(!seed);
+                let got = try_place_pinned(&dfg, spec, mask, ii, &mut a, &ctx, &pins);
+                let want = legacy_rest(&mut b, legacy_st, pins, true);
+                assert_eq!(got, want, "repair: {at}");
+                assert_eq!(a.next_u64(), b.next_u64(), "repair stream: {at}");
+                repairs += 1;
+            }
+        }
+        assert!(greedy > 1000 && repairs > 500 && wide > 100, "{greedy} {repairs} {wide}");
     }
 }

@@ -100,14 +100,6 @@ impl Opcode {
         }
     }
 
-    /// `true` if the opcode needs a multiplier lane (CoT-class resource).
-    pub fn needs_multiplier(self) -> bool {
-        matches!(
-            self,
-            Opcode::Mul | Opcode::Div | Opcode::FusedMulAdd | Opcode::FusedMulAddAdd
-        )
-    }
-
     /// `true` if the opcode needs a special functional unit (CoT only).
     pub fn needs_special_unit(self) -> bool {
         matches!(self, Opcode::Fp2Fx | Opcode::Pow2i | Opcode::LutRead | Opcode::Div)

@@ -48,16 +48,6 @@ impl ApproxConfig {
             invsqrt_iters: 1,
         }
     }
-
-    /// A high-precision configuration used to bound the achievable accuracy.
-    pub fn precise() -> ApproxConfig {
-        ApproxConfig {
-            exp_terms: 9,
-            log_terms: 14,
-            trig_terms: 7,
-            invsqrt_iters: 4,
-        }
-    }
 }
 
 /// `exp(x)` via Table 3:
@@ -206,12 +196,6 @@ pub fn sin_series(t: f32, terms: usize) -> f32 {
         term = term * t2 / (n * (n + 1.0));
     }
     acc
-}
-
-/// Division — executed directly by the pipelined divider FU (§4.1). The
-/// functional model is exact FP32 division.
-pub fn div_exact(num: f32, den: f32) -> f32 {
-    num / den
 }
 
 /// Inverse square root, GNU-libc style (§4.1): an exponent-halving initial

@@ -149,13 +149,6 @@ impl Fp16 {
     pub fn round_trip(value: f32) -> f32 {
         Fp16::from_f32(value).to_f32()
     }
-
-    /// Applies [`Fp16::round_trip`] to every element of a slice in place.
-    pub fn round_trip_slice(values: &mut [f32]) {
-        for v in values.iter_mut() {
-            *v = Fp16::round_trip(*v);
-        }
-    }
 }
 
 impl From<f32> for Fp16 {

@@ -89,14 +89,6 @@ impl Quantized {
         }
     }
 
-    /// Quantizes with explicit parameters.
-    pub fn quantize_with(data: &[f32], params: QuantParams) -> Quantized {
-        Quantized {
-            values: data.iter().map(|&x| params.quantize(x as f64)).collect(),
-            params,
-        }
-    }
-
     /// Dequantizes back to floats.
     pub fn dequantize(&self) -> Vec<f32> {
         self.values

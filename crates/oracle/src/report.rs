@@ -185,20 +185,6 @@ impl OracleReport {
         }
     }
 
-    /// The full JSON-lines stream: numerics summaries, then discrepancies.
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for s in &self.numerics {
-            out.push_str(&s.to_json_line());
-            out.push('\n');
-        }
-        for d in &self.discrepancies {
-            out.push_str(&d.to_json_line());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Human one-liner for test logs.
     pub fn summary(&self) -> String {
         format!(

@@ -57,11 +57,6 @@ impl Bench {
         Bench { smoke, filter }
     }
 
-    /// Whether `--smoke` was requested.
-    pub fn is_smoke(&self) -> bool {
-        self.smoke
-    }
-
     /// Opens a named benchmark group (mirrors criterion's `benchmark_group`).
     pub fn group(&self, name: &str) -> Group<'_> {
         Group {

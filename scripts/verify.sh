@@ -71,7 +71,9 @@ echo "== deterministic artifacts (every results/ file regenerated byte-identical
 # commit (scripts/regen.sh). Regenerated in a scratch directory and
 # compared both ways, never written over the committed files: a produced
 # file that differs or has no committed counterpart fails, and so does a
-# committed artifact nothing produces any more.
+# committed artifact nothing produces any more. The wall-clock files
+# (BENCH_compile.json from the microbench below, BENCH_ab.jsonl from
+# scripts/ab.sh) are not regenerated and stay out.
 REGEN_SCRATCH=$(mktemp -d)
 scripts/regen.sh "$REGEN_SCRATCH"
 for produced in "$REGEN_SCRATCH"/results/*; do
@@ -81,7 +83,7 @@ for produced in "$REGEN_SCRATCH"/results/*; do
 done
 for committed in results/*; do
   artifact=$(basename "$committed")
-  case "$artifact" in README.md|BENCH_compile.json) continue ;; esac
+  case "$artifact" in README.md|BENCH_compile.json|BENCH_ab.jsonl) continue ;; esac
   [ -e "$REGEN_SCRATCH/results/$artifact" ] \
     || { echo "deterministic artifacts: FAILED (nothing produces results/$artifact)"; exit 1; }
 done

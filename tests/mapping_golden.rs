@@ -110,3 +110,26 @@ fn annealed_16x16_with_dead_tile_and_link_reports() {
     let got = digest_library(&spec, &mask, true);
     check("16x16 annealed dead_tile(37)+dead_link(0,1)", got, 0x16f4_e7af_d8bf_cf05);
 }
+
+#[test]
+fn wide_ii_on_row_fabrics() {
+    // 8x-unrolled loops on 3- and 4-tile rows: MII 69-92, so every slot
+    // search spans more than one 64-residue word. Recorded from the
+    // per-slot placer, before its search moved onto residue bit planes.
+    use picachu_compiler::transform::unroll;
+    let mut d = Digest::default();
+    for (cols, label) in [(4, "rope"), (3, "geglu"), (3, "rope")] {
+        let spec = CgraSpec::picachu(1, cols);
+        let l = kernel_library(4)
+            .into_iter()
+            .flat_map(|k| k.loops)
+            .find(|l| l.label == label)
+            .unwrap_or_else(|| panic!("no {label} loop"));
+        let dfg = fuse_patterns(&unroll(&l.dfg, 8));
+        let m = map_dfg_with(&dfg, &spec, SEED, &ResourceMask::full(&spec), None)
+            .unwrap_or_else(|e| panic!("{label} on 1x{cols} failed to map: {e}"));
+        assert!(m.ii > 64, "{label} on 1x{cols}: II {}", m.ii);
+        d.mapping(&m);
+    }
+    check("wide II on 1x4/1x3", d.0, 0xaaf9_8b23_5b81_0deb);
+}
