@@ -157,8 +157,8 @@ pub trait Accelerator {
 
     /// Cheap, read-only estimate of `execute_trace(trace).total()` in the
     /// backend's reporting unit (cycles at 1 GHz ≡ ns, wall-ns for the
-    /// GPU). This is the capacity/cost hint the serving layer's placer
-    /// uses to compare shards without mutating backend state.
+    /// GPU), without mutating backend state. Every device prices it with
+    /// its own cost model; there is no default.
     ///
     /// Contract (enforced for all six devices by `tests/backends.rs`):
     /// once the backend's kernel caches are warm — after one
@@ -166,11 +166,7 @@ pub trait Accelerator {
     /// with the measured total to within [`HINT_WARM_TOLERANCE`] relative
     /// error. A cold estimate may be cruder (PICACHU has not mapped its
     /// kernels yet) but must stay within a documented constant factor.
-    fn estimate_trace(&self, trace: &[TraceOp]) -> f64 {
-        // Ideal-machine floor: one MAC and one nonlinear element per
-        // cycle. Real backends override this with their cost model.
-        trace.iter().map(|o| (o.macs() + o.elements()) as f64).sum()
-    }
+    fn estimate_trace(&self, trace: &[TraceOp]) -> f64;
 
     /// Energy in nanojoules for a breakdown this backend produced.
     fn energy_nj(&self, b: &Breakdown) -> f64;
@@ -223,6 +219,9 @@ mod tests {
         }
         fn execute_trace(&mut self, trace: &[TraceOp]) -> ExecutionReport {
             self.report(Breakdown { gemm: trace.len() as f64, ..Breakdown::default() })
+        }
+        fn estimate_trace(&self, trace: &[TraceOp]) -> f64 {
+            trace.len() as f64
         }
         fn energy_nj(&self, b: &Breakdown) -> f64 {
             2.0 * b.total()

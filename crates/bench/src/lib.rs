@@ -65,7 +65,7 @@ impl Workload {
     pub fn decode(cfg: &ModelConfig, context: usize) -> Workload {
         Workload {
             name: format!("{}/decode@{context}", cfg.name),
-            trace: picachu_llm::decode_trace(cfg, context),
+            trace: picachu_llm::trace::batched_decode_trace(cfg, context, 1),
         }
     }
 }

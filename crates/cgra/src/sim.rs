@@ -232,7 +232,7 @@ impl<'a> CgraSimulator<'a> {
         let hops_of = |from: usize, to: usize| -> Result<u64, SimFault> {
             match mask {
                 Some(m) => m
-                    .hops(self.spec, from, to)
+                    .hops(from, to)
                     .map(u64::from)
                     .ok_or(SimFault::Unroutable { from, to }),
                 None => Ok(self.spec.hops(from, to) as u64),

@@ -184,7 +184,7 @@ impl ResourceMask {
 
     /// Hop count from `a` to `b` over the alive fabric; `None` when
     /// unreachable (or either endpoint is dead).
-    pub fn hops(&self, _spec: &CgraSpec, a: usize, b: usize) -> Option<u32> {
+    pub fn hops(&self, a: usize, b: usize) -> Option<u32> {
         if self.full {
             let ((ar, ac), (br, bc)) = (self.coords[a], self.coords[b]);
             return Some((ar.abs_diff(br) + ac.abs_diff(bc)) as u32);
@@ -197,7 +197,7 @@ impl ResourceMask {
     /// The intermediate tiles (excluding both endpoints) an operand from `a`
     /// to `b` traverses, in travel order; `None` when unreachable. On the
     /// full mask this is the legacy row-first L-shaped path.
-    pub fn path(&self, _spec: &CgraSpec, a: usize, b: usize) -> Option<PathWalk<'_>> {
+    pub fn path(&self, a: usize, b: usize) -> Option<PathWalk<'_>> {
         if self.full {
             let ((r, c), (to_r, to_c)) = (self.coords[a], self.coords[b]);
             let row_run = c.abs_diff(to_c);
@@ -293,8 +293,8 @@ mod tests {
         CgraSpec::picachu(4, 4)
     }
 
-    fn path_vec(m: &ResourceMask, s: &CgraSpec, a: usize, b: usize) -> Option<Vec<usize>> {
-        m.path(s, a, b).map(Iterator::collect)
+    fn path_vec(m: &ResourceMask, a: usize, b: usize) -> Option<Vec<usize>> {
+        m.path(a, b).map(Iterator::collect)
     }
 
     /// The row-first path as the mapper always built it: step along the
@@ -382,8 +382,8 @@ mod tests {
             assert!(m.is_full());
             for a in 0..s.len() {
                 for b in 0..s.len() {
-                    assert_eq!(m.hops(&s, a, b), Some(s.hops(a, b)));
-                    let walk = m.path(&s, a, b).expect("full fabric is connected");
+                    assert_eq!(m.hops(a, b), Some(s.hops(a, b)));
+                    let walk = m.path(a, b).expect("full fabric is connected");
                     assert_eq!(walk.len(), legacy_row_first(&s, a, b).len(), "{a}->{b}");
                     assert_eq!(walk.collect::<Vec<_>>(), legacy_row_first(&s, a, b), "{a}->{b}");
                 }
@@ -410,8 +410,8 @@ mod tests {
                 for b in 0..s.len() {
                     let want = &legacy[a * s.len() + b];
                     unreachable += usize::from(want.is_none());
-                    assert_eq!(&path_vec(&m, &s, a, b), want, "{a}->{b} dead {dead:?} {links:?}");
-                    if let Some(walk) = m.path(&s, a, b) {
+                    assert_eq!(&path_vec(&m, a, b), want, "{a}->{b} dead {dead:?} {links:?}");
+                    if let Some(walk) = m.path(a, b) {
                         assert_eq!(walk.len(), want.as_ref().map_or(0, Vec::len));
                     }
                 }
@@ -436,11 +436,11 @@ mod tests {
         let m = ResourceMask::degraded(&s, [15], []);
         for a in 0..15 {
             for b in 0..15 {
-                assert_eq!(m.hops(&s, a, b), Some(s.hops(a, b)), "{a}->{b}");
+                assert_eq!(m.hops(a, b), Some(s.hops(a, b)), "{a}->{b}");
             }
         }
-        assert_eq!(m.hops(&s, 0, 15), None);
-        assert_eq!(m.hops(&s, 15, 0), None);
+        assert_eq!(m.hops(0, 15), None);
+        assert_eq!(m.hops(15, 0), None);
         assert!(!m.tile_alive(15));
         assert_eq!(m.alive_count(), 15);
     }
@@ -450,12 +450,12 @@ mod tests {
         // 1x3 row: killing the middle tile disconnects the ends
         let s = CgraSpec::universal(1, 3);
         let m = ResourceMask::degraded(&s, [1], []);
-        assert_eq!(m.hops(&s, 0, 2), None);
+        assert_eq!(m.hops(0, 2), None);
         // 2x3: the detour goes through the second row (4 hops instead of 2)
         let s2 = CgraSpec::universal(2, 3);
         let m2 = ResourceMask::degraded(&s2, [1], []);
-        assert_eq!(m2.hops(&s2, 0, 2), Some(4));
-        let path = path_vec(&m2, &s2, 0, 2).expect("reachable");
+        assert_eq!(m2.hops(0, 2), Some(4));
+        let path = path_vec(&m2, 0, 2).expect("reachable");
         assert_eq!(path.len(), 3, "4 hops = 3 intermediates: {path:?}");
         assert!(!path.contains(&1), "path must avoid the dead tile");
     }
@@ -464,13 +464,13 @@ mod tests {
     fn dead_link_blocks_both_directions() {
         let s = CgraSpec::universal(1, 2);
         let m = ResourceMask::degraded(&s, [], [(1, 0)]);
-        assert_eq!(m.hops(&s, 0, 1), None);
-        assert_eq!(m.hops(&s, 1, 0), None);
+        assert_eq!(m.hops(0, 1), None);
+        assert_eq!(m.hops(1, 0), None);
         // with an alternative route the link death only detours
         let s2 = CgraSpec::universal(2, 2);
         let m2 = ResourceMask::degraded(&s2, [], [(0, 1)]);
-        assert_eq!(m2.hops(&s2, 0, 1), Some(3), "0->2->3->1");
-        assert_eq!(path_vec(&m2, &s2, 0, 1), Some(vec![2, 3]));
+        assert_eq!(m2.hops(0, 1), Some(3), "0->2->3->1");
+        assert_eq!(path_vec(&m2, 0, 1), Some(vec![2, 3]));
     }
 
     #[test]
@@ -480,11 +480,11 @@ mod tests {
         for a in 0..s.len() {
             for b in 0..s.len() {
                 if !m.tile_alive(a) || !m.tile_alive(b) {
-                    assert_eq!(m.hops(&s, a, b), None);
+                    assert_eq!(m.hops(a, b), None);
                     continue;
                 }
-                let Some(path) = path_vec(&m, &s, a, b) else { continue };
-                let hops = m.hops(&s, a, b).expect("path implies hops");
+                let Some(path) = path_vec(&m, a, b) else { continue };
+                let hops = m.hops(a, b).expect("path implies hops");
                 if a == b {
                     assert_eq!(hops, 0);
                     assert!(path.is_empty());

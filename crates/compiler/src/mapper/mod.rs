@@ -253,7 +253,6 @@ fn attempt_seed(seed: u64, ii: u32, attempt: usize) -> u64 {
 /// Returns `None` when an edge's endpoints are unreachable under `mask`.
 pub fn schedule_len_of(
     dfg: &Dfg,
-    spec: &CgraSpec,
     mask: &ResourceMask,
     placements: &[Placement],
 ) -> Option<u32> {
@@ -267,7 +266,7 @@ pub fn schedule_len_of(
         for e in &node.inputs {
             let pu = placements[e.from.0];
             let lat = dfg.nodes()[e.from.0].op.latency();
-            len = len.max(pu.time + lat + mask.hops(spec, pu.tile, pv.tile)?);
+            len = len.max(pu.time + lat + mask.hops(pu.tile, pv.tile)?);
         }
     }
     Some(len)
@@ -406,7 +405,8 @@ impl SearchGrid {
     }
 
     /// Turns the lowest-index success (or its absence) into the final
-    /// [`Mapping`] / [`MapError`].
+    /// [`Mapping`] / [`MapError`]. The fabric geometry comes from `mask`;
+    /// `_spec` is unused and stays so existing callers keep compiling.
     ///
     /// # Errors
     /// [`MapError::IiLimitExceeded`], or [`MapError::Internal`] if an
@@ -414,13 +414,13 @@ impl SearchGrid {
     pub fn resolve(
         &self,
         dfg: &Dfg,
-        spec: &CgraSpec,
+        _spec: &CgraSpec,
         mask: &ResourceMask,
         found: Option<(usize, (u32, Vec<Placement>))>,
     ) -> Result<Mapping, MapError> {
         match found {
             Some((_, (ii, placements))) => {
-                let schedule_len = schedule_len_of(dfg, spec, mask, &placements)
+                let schedule_len = schedule_len_of(dfg, mask, &placements)
                     .ok_or(MapError::Internal("accepted placement has unroutable edge"))?;
                 Ok(Mapping { ii, placements, schedule_len })
             }
@@ -557,7 +557,7 @@ pub fn repair_mapping(
     if pinned.iter().all(|p| p.is_some()) {
         // every placement survives the degradation; only the prologue can
         // change (detours make operands land later)
-        let schedule_len = schedule_len_of(dfg, spec, mask, &base.placements)?;
+        let schedule_len = schedule_len_of(dfg, mask, &base.placements)?;
         return Some(Mapping { ii, placements: base.placements.clone(), schedule_len });
     }
     // Phase 0: the historical behavior — attempts at the surviving pinned
@@ -600,7 +600,7 @@ pub fn repair_mapping(
                 if let Some(placements) =
                     place::try_place_pinned(dfg, spec, mask, ii, &mut rng, &ctx, &pins)
                 {
-                    let schedule_len = schedule_len_of(dfg, spec, mask, &placements)?;
+                    let schedule_len = schedule_len_of(dfg, mask, &placements)?;
                     return Some(Mapping { ii, placements, schedule_len });
                 }
             }
@@ -924,7 +924,7 @@ mod tests {
                 let pu = m.placements[e.from.0];
                 let lat = dfg.nodes()[e.from.0].op.latency();
                 let hops = mask
-                    .hops(spec, pu.tile, pv.tile)
+                    .hops(pu.tile, pv.tile)
                     .unwrap_or_else(|| panic!("edge {} -> {} unroutable", e.from, node.id));
                 assert!(
                     pu.time + lat + hops <= pv.time + e.distance * m.ii,

@@ -53,7 +53,6 @@ const _: () = assert!(ROUTE_CAP == 2, "State's used/full planes encode ROUTE_CAP
 /// so a slot search shifts words instead of reducing each cycle modulo II.
 /// Every II takes the same code path; past 64 a window spans more words.
 pub(crate) struct State<'a> {
-    spec: &'a CgraSpec,
     mask: &'a ResourceMask,
     ii: u32,
     /// Words in one window of `II` bits: `⌈II/64⌉`.
@@ -67,7 +66,7 @@ impl<'a> State<'a> {
     pub(crate) fn new(spec: &'a CgraSpec, mask: &'a ResourceMask, ii: u32) -> State<'a> {
         let words = (ii as usize).div_ceil(64);
         let len = spec.len() * 2 * words;
-        State { spec, mask, ii, words, busy: vec![0; len], used: vec![0; len], full: vec![0; len] }
+        State { mask, ii, words, busy: vec![0; len], used: vec![0; len], full: vec![0; len] }
     }
 
     /// The words of `tile` in each plane.
@@ -118,7 +117,7 @@ impl<'a> State<'a> {
     /// [`ROUTE_CAP`]; `false` when the pair is disconnected on the alive
     /// fabric.
     fn route_free(&self, from: usize, to: usize, mut q: u32) -> bool {
-        let Some(mut path) = self.mask.path(self.spec, from, to) else {
+        let Some(mut path) = self.mask.path(from, to) else {
             return false;
         };
         path.all(|tile| {
@@ -131,8 +130,7 @@ impl<'a> State<'a> {
     /// Adds one operand to every intermediate tile of the route `from → to`,
     /// the first crossed at residue `q`.
     fn route_commit(&mut self, from: usize, to: usize, mut q: u32) {
-        let (spec, mask) = (self.spec, self.mask);
-        let Some(path) = mask.path(spec, from, to) else {
+        let Some(path) = self.mask.path(from, to) else {
             return; // unreachable: every committed pair has a hop count
         };
         for tile in path {
@@ -162,7 +160,7 @@ impl<'a> State<'a> {
     /// first intermediate tile at residue `r + d`, its next at `r + d + 1`,
     /// and so on. One walk of the path covers every candidate.
     fn block_route(&self, from: usize, to: usize, mut r: u32, blocked: &mut [u64]) {
-        let Some(path) = self.mask.path(self.spec, from, to) else {
+        let Some(path) = self.mask.path(from, to) else {
             return; // callers only route pairs with a hop count
         };
         for tile in path {
@@ -455,7 +453,7 @@ pub(crate) fn pin_state<'a>(
         for e in &node.inputs {
             let Some(pu) = pinned[e.from.0] else { continue };
             let lat = dfg.nodes()[e.from.0].op.latency();
-            let Some(h) = mask.hops(spec, pu.tile, pv.tile) else {
+            let Some(h) = mask.hops(pu.tile, pv.tile) else {
                 return Err(node.id.0);
             };
             if e.distance == 0 {
@@ -548,7 +546,7 @@ pub(crate) fn place_rest(
             // tile out entirely.
             pred_hops.clear();
             for &(pt, _) in &preds {
-                match mask.hops(spec, pt, tile) {
+                match mask.hops(pt, tile) {
                     Some(h) => pred_hops.push(h),
                     None => continue 'tile,
                 }
@@ -575,7 +573,7 @@ pub(crate) fn place_rest(
                 // carried-consumer deadlines (consumers already placed)
                 let deadlines_ok = ctx.carried_out(v).all(|(c, d)| {
                     match placed[c] {
-                        Some(pc) => match mask.hops(spec, tile, pc.tile) {
+                        Some(pc) => match mask.hops(tile, pc.tile) {
                             Some(h) => t + node.op.latency() + h <= pc.time + d * ii,
                             None => false,
                         },
@@ -591,7 +589,7 @@ pub(crate) fn place_rest(
                     // consumer's (fixed) issue time, over a free route
                     let pinned_consumers_ok = ctx.consumers_of(v).all(|c| {
                         let Some(pc) = placed[c] else { return true };
-                        let Some(h) = mask.hops(spec, tile, pc.tile) else { return false };
+                        let Some(h) = mask.hops(tile, pc.tile) else { return false };
                         match pc.time.checked_sub(h) {
                             Some(depart) => {
                                 depart >= t + node.op.latency()
@@ -610,7 +608,7 @@ pub(crate) fn place_rest(
                     let carried_in_ok =
                         node.inputs.iter().filter(|e| e.distance > 0).all(|e| {
                             let Some(pu) = placed[e.from.0] else { return true };
-                            match mask.hops(spec, pu.tile, tile) {
+                            match mask.hops(pu.tile, tile) {
                                 Some(h) => {
                                     pu.time + dfg.nodes()[e.from.0].op.latency() + h
                                         <= t + e.distance * ii
@@ -631,7 +629,7 @@ pub(crate) fn place_rest(
                 if repair {
                     for c in ctx.consumers_of(v) {
                         if let Some(pc) = placed[c] {
-                            if let Some(h) = mask.hops(spec, tile, pc.tile) {
+                            if let Some(h) = mask.hops(tile, pc.tile) {
                                 st.route_commit(tile, pc.tile, st.residue(pc.time - h + 1));
                             }
                         }
@@ -648,7 +646,7 @@ pub(crate) fn place_rest(
     }
 
     // final recurrence verification (covers consumer-placed-after-producer)
-    verify_recurrences(dfg, spec, mask, ii, &placed)?;
+    verify_recurrences(dfg, mask, ii, &placed)?;
     placed.into_iter().collect()
 }
 
@@ -656,7 +654,6 @@ pub(crate) fn place_rest(
 /// edge must meet its deadline under the masked (shortest-path) hop count.
 fn verify_recurrences(
     dfg: &Dfg,
-    spec: &CgraSpec,
     mask: &ResourceMask,
     ii: u32,
     placed: &[Option<Placement>],
@@ -667,7 +664,7 @@ fn verify_recurrences(
                 let pu = placed[e.from.0]?;
                 let pv = placed[node.id.0]?;
                 let lat = dfg.nodes()[e.from.0].op.latency();
-                let hops = mask.hops(spec, pu.tile, pv.tile)?;
+                let hops = mask.hops(pu.tile, pv.tile)?;
                 if pu.time + lat + hops > pv.time + e.distance * ii {
                     return None;
                 }
@@ -799,7 +796,7 @@ fn anneal_tiles(
                 let o = if a == v { b } else { a };
                 if o != v && tiles[o] != usize::MAX {
                     let (from, to) = if a == v { (t, tiles[o]) } else { (tiles[o], t) };
-                    c += hop_cost(mask.hops(spec, from, to));
+                    c += hop_cost(mask.hops(from, to));
                 }
             }
             if best.is_none_or(|(bc, bt)| (c, t) < (bc, bt)) {
@@ -817,7 +814,7 @@ fn anneal_tiles(
     let tile_cap = u64::from(ROUTE_CAP) * u64::from(ii);
     let mut occ = pass_through(&edges, &tiles, spec, mask);
     let wire: u64 =
-        edges.iter().map(|&(u, v, _)| hop_cost(mask.hops(spec, tiles[u], tiles[v]))).sum();
+        edges.iter().map(|&(u, v, _)| hop_cost(mask.hops(tiles[u], tiles[v]))).sum();
     let congestion: u64 = occ.iter().map(|&o| o.saturating_sub(tile_cap)).sum();
 
     let mut temp = (wire + CONGESTION_WEIGHT * congestion) / 4;
@@ -839,10 +836,10 @@ fn anneal_tiles(
             // remove v's incident contributions, move, re-add; track Δ
             journal.clear();
             let mut delta: i64 = 0;
-            delta -= contribution(&edges, &incident[v], &tiles, spec, mask, &mut occ, tile_cap, false, &mut journal);
+            delta -= contribution(&edges, &incident[v], &tiles, mask, &mut occ, tile_cap, false, &mut journal);
             let added = journal.len();
             tiles[v] = cand;
-            delta += contribution(&edges, &incident[v], &tiles, spec, mask, &mut occ, tile_cap, true, &mut journal);
+            delta += contribution(&edges, &incident[v], &tiles, mask, &mut occ, tile_cap, true, &mut journal);
             let accept = delta <= 0 || {
                 let d = delta as u64;
                 rng.gen_range(0..temp + d) < temp
@@ -881,7 +878,7 @@ fn pass_through(
 ) -> Vec<u64> {
     let mut occ = vec![0u64; spec.len()];
     for &(u, v, _) in edges.iter().filter(|e| e.2) {
-        for t in mask.path(spec, tiles[u], tiles[v]).into_iter().flatten() {
+        for t in mask.path(tiles[u], tiles[v]).into_iter().flatten() {
             occ[t] += 1;
         }
     }
@@ -898,7 +895,6 @@ fn contribution(
     edges: &[(usize, usize, bool)],
     incident: &[usize],
     tiles: &[usize],
-    spec: &CgraSpec,
     mask: &ResourceMask,
     occ: &mut [u64],
     tile_cap: u64,
@@ -908,9 +904,9 @@ fn contribution(
     let mut cost = 0i64;
     for &ei in incident {
         let (u, w, d0) = edges[ei];
-        cost += hop_cost(mask.hops(spec, tiles[u], tiles[w])) as i64;
+        cost += hop_cost(mask.hops(tiles[u], tiles[w])) as i64;
         if d0 {
-            if let Some(path) = mask.path(spec, tiles[u], tiles[w]) {
+            if let Some(path) = mask.path(tiles[u], tiles[w]) {
                 for t in path {
                     journal.push(t);
                     if add {
@@ -975,11 +971,11 @@ fn schedule_on_tiles(
         let mut latest_rdy: Option<u32> = None;
         for e in node.inputs.iter().filter(|e| e.distance == 0) {
             let p = placed[e.from.0]?;
-            let h = mask.hops(spec, p.tile, tile)?;
+            let h = mask.hops(p.tile, tile)?;
             let rdy = p.time + dfg.nodes()[e.from.0].op.latency() + h;
             latest_rdy = Some(latest_rdy.map_or(rdy, |l| l.max(rdy)));
             if h > 0 {
-                in_paths.push((p.tile, h, mask.path(spec, p.tile, tile)?));
+                in_paths.push((p.tile, h, mask.path(p.tile, tile)?));
             }
         }
         // source nodes align with their consumers' other inputs, as in the
@@ -991,7 +987,7 @@ fn schedule_on_tiles(
         for dt in free_slots(&blocked, ii) {
             let t = earliest + dt;
             let deadlines_ok = ctx.carried_out(v).all(|(c, d)| match placed[c] {
-                Some(pc) => match mask.hops(spec, tile, pc.tile) {
+                Some(pc) => match mask.hops(tile, pc.tile) {
                     Some(h) => t + node.op.latency() + h <= pc.time + d * ii,
                     None => false,
                 },
@@ -1029,7 +1025,7 @@ fn schedule_on_tiles(
             return None;
         }
     }
-    verify_recurrences(dfg, spec, mask, ii, &placed)?;
+    verify_recurrences(dfg, mask, ii, &placed)?;
     placed.into_iter().collect()
 }
 
@@ -1097,7 +1093,6 @@ mod tests {
         use picachu_testkit::TestRng;
 
         pub(super) struct State<'a> {
-            spec: &'a CgraSpec,
             mask: &'a ResourceMask,
             ii: u32,
             compute: Vec<bool>,
@@ -1107,7 +1102,7 @@ mod tests {
         impl<'a> State<'a> {
             pub(super) fn new(spec: &'a CgraSpec, mask: &'a ResourceMask, ii: u32) -> State<'a> {
                 let n = spec.len() * ii as usize;
-                State { spec, mask, ii, compute: vec![false; n], routing: vec![0; n] }
+                State { mask, ii, compute: vec![false; n], routing: vec![0; n] }
             }
 
             fn idx(&self, tile: usize, time: u32) -> usize {
@@ -1115,7 +1110,7 @@ mod tests {
             }
 
             fn route_free(&self, from: usize, to: usize, depart: u32) -> bool {
-                let Some(path) = self.mask.path(self.spec, from, to) else {
+                let Some(path) = self.mask.path(from, to) else {
                     return false;
                 };
                 path.enumerate().all(|(k, tile)| {
@@ -1124,7 +1119,7 @@ mod tests {
             }
 
             fn route_commit(&mut self, from: usize, to: usize, depart: u32) {
-                let Some(path) = self.mask.path(self.spec, from, to) else { return };
+                let Some(path) = self.mask.path(from, to) else { return };
                 for (k, tile) in path.enumerate() {
                     let i = self.idx(tile, depart + k as u32 + 1);
                     self.routing[i] += 1;
@@ -1158,7 +1153,7 @@ mod tests {
                 for e in &node.inputs {
                     let Some(pu) = pinned[e.from.0] else { continue };
                     let lat = dfg.nodes()[e.from.0].op.latency();
-                    let Some(h) = mask.hops(spec, pu.tile, pv.tile) else {
+                    let Some(h) = mask.hops(pu.tile, pv.tile) else {
                         return Err(node.id.0);
                     };
                     if e.distance == 0 {
@@ -1215,7 +1210,7 @@ mod tests {
                 'tile: for &tile in &tiles {
                     pred_hops.clear();
                     for &(pt, _) in &preds {
-                        match mask.hops(spec, pt, tile) {
+                        match mask.hops(pt, tile) {
                             Some(h) => pred_hops.push(h),
                             None => continue 'tile,
                         }
@@ -1239,7 +1234,7 @@ mod tests {
                             continue;
                         }
                         let deadlines_ok = ctx.carried_out(v).all(|(c, d)| match placed[c] {
-                            Some(pc) => match mask.hops(spec, tile, pc.tile) {
+                            Some(pc) => match mask.hops(tile, pc.tile) {
                                 Some(h) => t + node.op.latency() + h <= pc.time + d * ii,
                                 None => false,
                             },
@@ -1251,7 +1246,7 @@ mod tests {
                         if repair {
                             let pinned_consumers_ok = ctx.consumers_of(v).all(|c| {
                                 let Some(pc) = placed[c] else { return true };
-                                let Some(h) = mask.hops(spec, tile, pc.tile) else {
+                                let Some(h) = mask.hops(tile, pc.tile) else {
                                     return false;
                                 };
                                 match pc.time.checked_sub(h) {
@@ -1268,7 +1263,7 @@ mod tests {
                             let carried_in_ok =
                                 node.inputs.iter().filter(|e| e.distance > 0).all(|e| {
                                     let Some(pu) = placed[e.from.0] else { return true };
-                                    match mask.hops(spec, pu.tile, tile) {
+                                    match mask.hops(pu.tile, tile) {
                                         Some(h) => {
                                             pu.time + dfg.nodes()[e.from.0].op.latency() + h
                                                 <= t + e.distance * ii
@@ -1288,7 +1283,7 @@ mod tests {
                         if repair {
                             for c in ctx.consumers_of(v) {
                                 if let Some(pc) = placed[c] {
-                                    if let Some(h) = mask.hops(spec, tile, pc.tile) {
+                                    if let Some(h) = mask.hops(tile, pc.tile) {
                                         st.route_commit(tile, pc.tile, pc.time - h);
                                     }
                                 }
@@ -1303,7 +1298,7 @@ mod tests {
                     return None;
                 }
             }
-            super::super::verify_recurrences(dfg, spec, mask, ii, &placed)?;
+            super::super::verify_recurrences(dfg, mask, ii, &placed)?;
             placed.into_iter().collect()
         }
     }

@@ -169,7 +169,7 @@ pub fn route_mapping(
             let pu = place_of[e.from.0]?;
             let pv = place_of[node.id.0]?;
             let lat = dfg.nodes()[e.from.0].op.latency();
-            let h = mask.hops(spec, pu.tile, pv.tile)?;
+            let h = mask.hops(pu.tile, pv.tile)?;
             let rdy = pu.time + lat;
             if pv.time < rdy + h {
                 return None; // not legal under the mask

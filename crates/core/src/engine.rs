@@ -295,33 +295,31 @@ impl PicachuEngine {
         loops.iter().map(|l| l.cycles(elems)).sum()
     }
 
-    /// Executes a full operator trace with the §4.2.4 dataflow cases,
-    /// returning the exposed-latency breakdown.
+    /// Executes a full operator trace with the §4.2.4 dataflow cases: the
+    /// healthy run is [`PicachuEngine::try_execute_trace_faulted`] under the
+    /// empty plan.
     ///
     /// # Panics
     /// Panics (like [`PicachuEngine::compile_op`]) when a kernel fails to map.
     pub fn execute_trace(&mut self, trace: &[TraceOp]) -> Breakdown {
-        let PicachuEngine { ref config, ref mut compile, ref dispatch, .. } = *self;
-        let totals = dispatch.execute_trace(config, trace, &mut |op| {
-            match compile.try_compile_op(config, op) {
-                Ok(loops) => loops,
-                Err(e) => panic!("{e}"),
-            }
-        });
-        totals.breakdown()
+        match self.try_execute_trace_faulted(trace, &FaultPlan::none()) {
+            Ok(b) => b,
+            Err(e) => panic!("{e}"),
+        }
     }
 
-    /// [`PicachuEngine::execute_trace`] under a fault plan: every nonlinear
-    /// op is compiled through the degradation ladder
-    /// ([`PicachuEngine::compile_op_degraded`]) and the dispatcher walks the
-    /// trace against those mappings; the plan's SRAM/DMA fault service is
-    /// then priced by [`Dispatcher::fault_overhead`] and lands in the
-    /// breakdown's dedicated `overhead` phase, so the compute and
-    /// data-movement terms keep their healthy-identity accounting.
-    /// Deterministic in `(self.config, trace, plan)`.
+    /// Executes `trace` under a fault plan, the engine's one trace walk that
+    /// compiles: the distinct nonlinear ops warm their healthy loops in one
+    /// flat batch ([`CompileService::warm`]), take the degradation ladder
+    /// ([`PicachuEngine::compile_op_degraded`]; on an intact fabric, the
+    /// healthy loops) and the dispatcher walks the trace against them. The
+    /// plan's SRAM/DMA fault service ([`Dispatcher::fault_overhead`]) lands
+    /// in the `overhead` phase, so the other terms keep their healthy
+    /// accounting. Deterministic in `(self.config, trace, plan)`.
     ///
     /// # Errors
-    /// [`PicachuError::Compile`] when an op survives no rung of the ladder,
+    /// [`PicachuError::Compile`] when an op survives no rung of the ladder
+    /// (under the empty plan: when its kernel fails to map),
     /// [`PicachuError::EccStorm`] past the re-fetch budget, or
     /// [`PicachuError::Dma`] when a transfer exhausts its retries.
     pub fn try_execute_trace_faulted(
@@ -329,17 +327,23 @@ impl PicachuEngine {
         trace: &[TraceOp],
         plan: &FaultPlan,
     ) -> Result<Breakdown, PicachuError> {
-        // degraded-compile every distinct nonlinear op up front
-        let mut degraded: HashMap<NonlinearOp, Arc<Vec<CompiledLoop>>> = HashMap::new();
+        let mut ops: Vec<NonlinearOp> = Vec::new();
         for t in trace {
             if let TraceOp::Nonlinear { op, .. } = *t {
-                if let std::collections::hash_map::Entry::Vacant(e) = degraded.entry(op) {
-                    e.insert(self.compile.compile_op_degraded(&self.config, op, plan)?.loops);
+                if !ops.contains(&op) {
+                    ops.push(op);
                 }
             }
         }
+        // a healthy compile failure is the ladder's to report, below
+        let _ = self.compile.warm(&self.config, &ops);
+        let mut loops: HashMap<NonlinearOp, Arc<Vec<CompiledLoop>>> =
+            HashMap::with_capacity(ops.len());
+        for op in ops {
+            loops.insert(op, self.compile.compile_op_degraded(&self.config, op, plan)?.loops);
+        }
         let mut totals =
-            self.dispatch.execute_trace(&self.config, trace, &mut |op| degraded[&op].clone());
+            self.dispatch.execute_trace(&self.config, trace, &mut |op| loops[&op].clone());
         let overhead = self.dispatch.fault_overhead(&self.config, trace, plan)?;
         totals.overhead = totals.overhead.saturating_add(overhead);
         Ok(totals.breakdown())
@@ -403,25 +407,9 @@ impl Accelerator for PicachuEngine {
         "PICACHU"
     }
 
-    /// The backend-contract dispatch path: warms the compile cache for the
-    /// trace's distinct operations in parallel (deterministically — mapping
-    /// is a pure function of the config), then runs the serial trace walk.
-    ///
-    /// # Panics
-    /// Panics when a kernel fails to map, matching
-    /// [`PicachuEngine::compile_op`] — a fabric misconfiguration.
+    /// The inherent [`PicachuEngine::execute_trace`] (panicking, like it,
+    /// when a kernel fails to map), stamped into a report.
     fn execute_trace(&mut self, trace: &[TraceOp]) -> ExecutionReport {
-        let mut ops: Vec<NonlinearOp> = Vec::new();
-        for t in trace {
-            if let TraceOp::Nonlinear { op, .. } = *t {
-                if !ops.contains(&op) {
-                    ops.push(op);
-                }
-            }
-        }
-        if let Err(e) = self.compile.warm(&self.config, &ops) {
-            panic!("{e}");
-        }
         let b = PicachuEngine::execute_trace(self, trace);
         self.report(b)
     }
@@ -433,8 +421,9 @@ impl Accelerator for PicachuEngine {
     /// bit for bit. **Cold**: GEMM cycles
     /// are still exact (the systolic model is stateless); nonlinear work
     /// is priced at [`COLD_NONLINEAR_CYCLES_PER_ELEMENT`] without mapping
-    /// anything — crude, but the serving placer only needs relative order
-    /// and the parity suite bounds the error to a small constant factor.
+    /// anything — crude, and the parity suite bounds the error to a small
+    /// constant factor. Nothing on the serving path reads this hint: a
+    /// shard prices its table by running traces.
     fn estimate_trace(&self, trace: &[TraceOp]) -> f64 {
         let warm = trace.iter().all(|t| match *t {
             TraceOp::Nonlinear { op, .. } => self.compile.is_compiled(op),
@@ -632,7 +621,7 @@ mod tests {
     #[test]
     fn decode_trace_executes() {
         let mut e = engine();
-        let trace = picachu_llm::decode_trace(&ModelConfig::llama2_7b(), 512);
+        let trace = picachu_llm::trace::batched_decode_trace(&ModelConfig::llama2_7b(), 512, 1);
         let b = e.execute_trace(&trace);
         assert!(b.total() > 0.0);
         // decode is GEMV-bound on the systolic array; nonlinear stays small
@@ -732,17 +721,31 @@ mod tests {
 
     #[test]
     fn faulted_trace_with_empty_plan_matches_healthy() {
-        let mut e = engine();
-        let trace = picachu_llm::model_trace(&ModelConfig::gpt2(), 64);
-        let healthy = e.execute_trace(&trace);
-        let faulted = e
-            .try_execute_trace_faulted(&trace, &picachu_faults::FaultPlan::none())
-            .unwrap();
-        assert_eq!(healthy, faulted, "empty plan must be the identity");
-        assert_eq!(faulted.overhead, 0.0, "no faults, no service overhead");
-        // and the healthy dispatch is untouched by the faulted one
-        let again = e.execute_trace(&trace);
-        assert_eq!(healthy, again);
+        use ModelConfig as M;
+        let presets = [
+            M::gpt2_xl(), M::gpt2(), M::bert_base(), M::bigbird(), M::opt_6_7b(),
+            M::opt_13b(), M::llama_7b(), M::llama_13b(), M::llama2_7b(), M::llama2_13b(),
+        ];
+        let bits =
+            |b: Breakdown| [b.gemm, b.nonlinear, b.data_movement, b.overhead].map(f64::to_bits);
+        // separate engines, so neither run sees the other's compiles
+        let (mut healthy, mut faulted) = (engine(), engine());
+        for cfg in presets {
+            for trace in [
+                picachu_llm::model_trace(&cfg, 256),
+                picachu_llm::trace::batched_decode_trace(&cfg, 256, 1),
+                picachu_llm::trace::batched_decode_trace(&cfg, 256, 8),
+            ] {
+                let h = healthy.execute_trace(&trace);
+                let f = faulted
+                    .try_execute_trace_faulted(&trace, &picachu_faults::FaultPlan::none())
+                    .unwrap();
+                assert_eq!(bits(h), bits(f), "{}: empty plan must be the identity", cfg.name);
+                assert_eq!(f.overhead, 0.0, "no faults, no service overhead");
+                // and the healthy dispatch is untouched by the faulted one
+                assert_eq!(bits(faulted.execute_trace(&trace)), bits(h), "{}", cfg.name);
+            }
+        }
     }
 
     #[test]

@@ -180,7 +180,7 @@ fn check_loop(
             let (pu, pv) = (m.placements[e.from.0], m.placements[node.id.0]);
             let lat = dfg.nodes()[e.from.0].op.latency();
             let slot = u64::from(pv.time) + u64::from(e.distance) * u64::from(m.ii);
-            match mask.hops(spec, pu.tile, pv.tile) {
+            match mask.hops(pu.tile, pv.tile) {
                 Some(h) if u64::from(pu.time + lat + h) <= slot => {}
                 _ => {
                     let (u, v) = (e.from.0, node.id.0);
@@ -189,7 +189,7 @@ fn check_loop(
             }
         }
     }
-    match schedule_len_of(&dfg, spec, mask, &m.placements) {
+    match schedule_len_of(&dfg, mask, &m.placements) {
         Some(len) if len == m.schedule_len => Ok(dfg),
         len => Err(format!("{name}: schedule_len {}, placements give {len:?}", m.schedule_len)),
     }

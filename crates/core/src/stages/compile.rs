@@ -173,9 +173,8 @@ impl CompileService {
     /// misses as one flat grouped pass on the [`picachu_runtime`] pool (see
     /// [`CompileService::compile_batch`]). Mapping is deterministic per
     /// `(config, op)`, so the cache ends bit-identical to a serial warm —
-    /// only wall-clock changes. The `Accelerator` dispatch path calls this
-    /// before its serial trace walk so a cold engine doesn't compile on the
-    /// walk.
+    /// only wall-clock changes. The engine's trace walk calls this first,
+    /// so a cold engine doesn't compile op by op on the walk.
     ///
     /// # Errors
     /// [`PicachuError::Compile`] for the first (in `ops` order) operation

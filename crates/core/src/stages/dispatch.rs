@@ -4,8 +4,8 @@
 //! element-wise ops stream against the producing GEMM (Case 1), reductions
 //! round-trip DRAM channel-by-channel under double buffering (Case 2) or
 //! stay buffer-resident when they fit (Case 3). Compilation is injected as
-//! a closure, so the same walk serves the healthy cache and a
-//! fault-degraded shadow cache unchanged.
+//! a closure, so the same walk serves the engine's run under a fault plan
+//! (healthy is the empty plan) and its read-only warm estimate unchanged.
 //!
 //! Accounting is exact: cycles accumulate in the integer [`PhaseTotals`]
 //! (saturating, like every cycle computation upstream) and convert to the
@@ -97,8 +97,8 @@ impl Dispatcher {
 
     /// Executes a trace with the §4.2.4 dataflow cases, returning exact
     /// per-phase cycle totals. `compile` supplies the loops for each
-    /// nonlinear op (healthy cache, degraded shadow cache — the walk does
-    /// not care).
+    /// nonlinear op (the ladder's answer under a plan, or the healthy view
+    /// of a warm estimate — the walk does not care).
     pub fn execute_trace(
         &self,
         config: &EngineConfig,
@@ -218,7 +218,9 @@ impl Dispatcher {
     /// bulk Case-2 traffic pay the bounded retry ladder. The healthy
     /// breakdown already prices the transfers themselves, so only the
     /// stall/backoff/re-fetch cycles are returned — they land in
-    /// [`PhaseTotals::overhead`]. Deterministic in `(config, trace, plan)`.
+    /// [`PhaseTotals::overhead`]. Deterministic in `(config, trace, plan)`;
+    /// zero, without walking the trace, when the plan flips no SRAM bit and
+    /// stalls no transfer.
     ///
     /// # Errors
     /// [`PicachuError::EccStorm`] past the re-fetch budget, or
@@ -229,6 +231,9 @@ impl Dispatcher {
         trace: &[TraceOp],
         plan: &FaultPlan,
     ) -> Result<u64, PicachuError> {
+        if plan.sram_flips.is_empty() && plan.dma.is_none() {
+            return Ok(0);
+        }
         // ECC over the Shared Buffer working set
         let words = (config.buffer_kb * 1024 / 8) as u64;
         let ecc = plan.ecc.classify_sram(&plan.sram_flips, words);

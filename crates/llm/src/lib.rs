@@ -15,4 +15,4 @@ pub mod tinylm;
 pub mod trace;
 
 pub use models::{ActKind, ModelConfig, NormKind, PosKind};
-pub use trace::{decode_trace, model_trace, TraceOp};
+pub use trace::{model_trace, TraceOp};

@@ -112,52 +112,13 @@ pub fn model_trace(cfg: &ModelConfig, seq: usize) -> Vec<TraceOp> {
     t
 }
 
-/// The trace of one decoder layer in the **decode phase**: a single new
-/// token attends over a KV cache of `context` entries. Attention GEMMs
-/// degrade to GEMVs, so the nonlinear share is even higher than in prefill —
-/// the extension case PICACHU's flexibility argument targets.
-pub fn decode_layer_trace(cfg: &ModelConfig, context: usize) -> Vec<TraceOp> {
-    let d = cfg.d_model;
-    let dh = cfg.d_head();
-    let h = cfg.n_heads;
-    let ff = cfg.d_ff;
-    let norm_op = cfg.norm.op();
-    let span = cfg.attn_span.map_or(context, |s| s.min(context));
-    let mut t = Vec::new();
-    t.push(TraceOp::Nonlinear { op: norm_op, rows: 1, channel: d });
-    t.push(TraceOp::Gemm { m: 1, k: d, n: 3 * d, count: 1 });
-    if cfg.pos == PosKind::Rope {
-        t.push(TraceOp::Nonlinear { op: NonlinearOp::Rope, rows: 2, channel: d });
-    }
-    t.push(TraceOp::Gemm { m: 1, k: dh, n: span, count: h });
-    t.push(TraceOp::Nonlinear { op: NonlinearOp::Softmax, rows: h, channel: span });
-    t.push(TraceOp::Gemm { m: 1, k: span, n: dh, count: h });
-    t.push(TraceOp::Gemm { m: 1, k: d, n: d, count: 1 });
-    t.push(TraceOp::Nonlinear { op: norm_op, rows: 1, channel: d });
-    // 1 or 2 up-projections feeding the (possibly gated) activation
-    t.push(TraceOp::Gemm { m: 1, k: d, n: ff, count: cfg.activation.up_projections() });
-    t.push(TraceOp::Nonlinear { op: cfg.activation.op(), rows: 1, channel: ff });
-    t.push(TraceOp::Gemm { m: 1, k: ff, n: d, count: 1 });
-    t
-}
-
-/// Full-model decode-step trace over a context of `context` cached tokens.
-pub fn decode_trace(cfg: &ModelConfig, context: usize) -> Vec<TraceOp> {
-    let mut t = Vec::new();
-    for _ in 0..cfg.layers {
-        t.extend(decode_layer_trace(cfg, context));
-    }
-    let norm_op = cfg.norm.op();
-    t.push(TraceOp::Nonlinear { op: norm_op, rows: 1, channel: cfg.d_model });
-    t
-}
-
-/// The trace of one decoder layer stepping `batch` decode sequences
-/// together (continuous batching), each over its own KV cache of `context`
-/// entries. Weight GEMMs fold the batch into `m` — one `batch×k·k×n`
-/// matmul per projection, which is exactly why serving batches decode
-/// steps — while the per-sequence work replicates: attention GEMVs repeat
-/// `batch` times per head and nonlinear rows scale by `batch`.
+/// The trace of one decoder layer in the **decode phase**: `batch`
+/// sequences (continuous batching) each attend one new token over a KV
+/// cache of `context` entries. Attention GEMMs degrade to GEMVs, so the
+/// nonlinear share is even higher than in prefill. Weight GEMMs fold the
+/// batch into `m` — one `batch×k·k×n` matmul per projection, which is why
+/// serving batches decode steps — while attention GEMVs repeat `batch`
+/// times per head and nonlinear rows scale by `batch`.
 pub fn batched_decode_layer_trace(
     cfg: &ModelConfig,
     context: usize,
@@ -188,9 +149,8 @@ pub fn batched_decode_layer_trace(
     t
 }
 
-/// Full-model batched decode-step trace: `batch` sequences advanced one
-/// token each, every sequence holding `context` cached tokens. At
-/// `batch = 1` this is exactly [`decode_trace`].
+/// Full-model decode-step trace: `batch` sequences advanced one token
+/// each, every sequence holding `context` cached tokens.
 pub fn batched_decode_trace(cfg: &ModelConfig, context: usize, batch: usize) -> Vec<TraceOp> {
     let mut t = Vec::new();
     for _ in 0..cfg.layers {
@@ -277,7 +237,7 @@ mod tests {
     #[test]
     fn decode_trace_is_gemv_shaped() {
         let cfg = ModelConfig::llama2_7b();
-        let t = decode_trace(&cfg, 1024);
+        let t = batched_decode_trace(&cfg, 1024, 1);
         for op in &t {
             if let TraceOp::Gemm { m, .. } = op {
                 assert_eq!(*m, 1, "decode GEMMs are GEMVs");
@@ -293,18 +253,11 @@ mod tests {
     #[test]
     fn decode_macs_scale_with_params_not_context() {
         let cfg = ModelConfig::opt_6_7b();
-        let short = total_macs(&decode_trace(&cfg, 128));
-        let long = total_macs(&decode_trace(&cfg, 2048));
+        let short = total_macs(&batched_decode_trace(&cfg, 128, 1));
+        let long = total_macs(&batched_decode_trace(&cfg, 2048, 1));
         // only the attention GEMVs grow with context
         assert!(long < short * 2, "{long} vs {short}");
         assert!(long > short);
-    }
-
-    #[test]
-    fn batched_decode_at_batch_1_is_decode() {
-        for cfg in [ModelConfig::gpt2(), ModelConfig::llama2_7b()] {
-            assert_eq!(batched_decode_trace(&cfg, 512, 1), decode_trace(&cfg, 512));
-        }
     }
 
     #[test]

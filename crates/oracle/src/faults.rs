@@ -283,7 +283,7 @@ fn check_case(
                     n.inputs
                         .iter()
                         .map(|e| {
-                            mask.hops(&spec, m.placements[e.from.0].tile, dst).map(u64::from)
+                            mask.hops(m.placements[e.from.0].tile, dst).map(u64::from)
                         })
                         .sum::<Option<u64>>()
                 })

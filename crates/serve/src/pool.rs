@@ -2,41 +2,38 @@
 //! [`Accelerator`] contract, each priced by one step-cost table.
 //!
 //! A shard is one device instance (PICACHU engine, Gemmini-class,
-//! A100 roofline, …). At construction every shard *measures* its healthy
-//! step costs once — one `execute_trace` per tenant model to warm kernel
-//! caches, then the [`Accelerator::estimate_trace`] capacity hint (exact
-//! when warm, by the backend-parity contract) fills a table over bucketed
-//! (tenant, context, batch) shapes. The table is dense per tenant — one
-//! prefill cost and a `[context bucket − prompt bucket][log2 batch]` decode
-//! array — so every price is an index computation, never a hash. A context
-//! past the probed range scales the widest bucket's entry by 2^Δbucket; a
-//! prefill at another bucket, or an unknown tenant, costs 1. The healthy
-//! table is a pure function of
-//! `(spec, tenants, max_batch)`: it never changes when faults arrive, which
-//! is what lets the degraded-capacity tests assert healthy shards'
-//! measurements stay bit-identical to their fault-free runs.
+//! A100 roofline, …), kept for the shard's whole life. Its cost table
+//! prices bucketed (tenant, context, batch) shapes by *running* each
+//! shape's step trace on that device under a [`FaultPlan`]; the healthy
+//! table, measured at construction, is the one under the empty plan. The
+//! table is dense per tenant — one prefill cost and a
+//! `[context bucket − prompt bucket][log2 batch]` decode array — so every
+//! price is an index computation, never a hash. A context past the probed
+//! range scales the widest bucket's entry by 2^Δbucket; a prefill at
+//! another bucket, or an unknown tenant, costs 1. The healthy table is a
+//! pure function of `(spec, tenants, max_batch)` and never changes when
+//! faults arrive, which is what lets the degraded-capacity tests assert
+//! healthy shards' measurements stay bit-identical to fault-free runs.
 //!
 //! Every price the scheduler reads is one lookup in the shard's *current*
-//! table. A [`FaultPlan`] replaces that table; it never multiplies a healthy
-//! price. A PICACHU shard re-measures every cost key by running its trace on
-//! the degraded mappings ([`PicachuEngine::try_execute_trace_faulted`]), so
-//! a fault costs exactly what it slows down and GEMM time stays GEMM time; a
-//! ladder rejection, ECC storm or DMA exhaustion takes the shard out of
-//! service. The analytical baselines have no compiler to consult, so each
-//! healthy entry is scaled by the alive fraction of a nominal 16-unit
-//! device. An empty plan restores the healthy table.
+//! table, which a plan replaces (it never multiplies a healthy price). A
+//! PICACHU shard runs every key's trace under the plan on its one engine
+//! ([`PicachuEngine::try_execute_trace_faulted`]), so a fault costs exactly
+//! what it slows down; a ladder rejection, ECC storm or DMA exhaustion
+//! takes the shard out of service, and the engine's ladder memo answers a
+//! plan it has walked before. The analytical baselines have no compiler to
+//! consult, so under a plan each healthy entry scales by the alive
+//! fraction of a nominal 16-unit device. An empty plan restores the
+//! healthy table.
 
 use crate::arrivals::Tenant;
 use picachu::engine::{EngineConfig, PicachuEngine};
-use picachu::CompileCache;
 use picachu_backend::Accelerator;
 use picachu_baselines::{CpuModel, GemminiModel, GpuModel, HomogeneousCgraModel, TandemModel};
 use picachu_faults::FaultPlan;
 use picachu_llm::trace::{batched_decode_trace, model_trace, TraceOp};
 use picachu_nonlinear::NonlinearOp;
 use std::collections::BTreeSet;
-use std::convert::Infallible;
-use std::sync::Arc;
 
 /// What device a shard is.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,18 +66,6 @@ impl ShardSpec {
         ShardSpec::Picachu(point.knobs.engine_config())
     }
 
-    /// Instantiates the device behind the unified contract.
-    pub fn build(&self) -> Box<dyn Accelerator> {
-        match self {
-            ShardSpec::Picachu(cfg) => Box::new(PicachuEngine::new(cfg.clone())),
-            ShardSpec::Gemmini => Box::new(GemminiModel::hosted()),
-            ShardSpec::Gpu => Box::new(GpuModel::default()),
-            ShardSpec::Cpu => Box::new(CpuModel::hosted()),
-            ShardSpec::Tandem => Box::new(TandemModel::hosted()),
-            ShardSpec::CgraBase => Box::new(HomogeneousCgraModel::hosted()),
-        }
-    }
-
     /// Instantiates the device and, for PICACHU shards, pre-warms the union
     /// of the tenants' nonlinear kernels through one grouped compile batch
     /// before the first trace runs. Compilation is deterministic in the
@@ -89,33 +74,9 @@ impl ShardSpec {
     /// tenant — never *what* it produces; cost tables are bit-identical
     /// either way.
     pub fn build_warmed(&self, tenants: &[Tenant]) -> Box<dyn Accelerator> {
-        self.build_warmed_on(tenants, Arc::new(CompileCache::new()))
-    }
-
-    /// [`ShardSpec::build_warmed`] with a PICACHU engine compiling through
-    /// `cache`.
-    fn build_warmed_on(
-        &self,
-        tenants: &[Tenant],
-        cache: Arc<CompileCache>,
-    ) -> Box<dyn Accelerator> {
-        match self {
-            ShardSpec::Picachu(cfg) => {
-                let mut engine = PicachuEngine::with_cache(cfg.clone(), cache);
-                let mut ops: BTreeSet<NonlinearOp> = BTreeSet::new();
-                for t in tenants {
-                    ops.extend(t.model.nonlinear_ops());
-                }
-                let ops: Vec<NonlinearOp> = ops.into_iter().collect();
-                if let Err(e) = engine.prewarm(&ops) {
-                    // a healthy-fabric compile failure would surface as the
-                    // same panic on the first execute_trace; warn and let
-                    // the measuring pass report it
-                    eprintln!("picachu-serve: shard prewarm failed: {e}");
-                }
-                Box::new(engine)
-            }
-            _ => self.build(),
+        match Device::new(self, tenants) {
+            Device::Picachu(engine) => engine,
+            Device::Analytical(backend) => backend,
         }
     }
 }
@@ -259,17 +220,15 @@ impl CostTable {
 
 /// Prices every shape the tenants can present — the prompt bucket for
 /// prefill; for decode, context buckets from prompt to prompt + max decode
-/// at `batch_classes` batch sizes, the powers of two from 1 — with `price`
-/// giving one step trace's cost in ns. Stops at the first trace `price`
+/// at `batch_classes` batch sizes, the powers of two from 1 — with `run`
+/// giving one step trace's cost in ns. `None` at the first trace `run`
 /// refuses.
-fn measure<E>(
+fn measure(
     tenants: &[Tenant],
     batch_classes: usize,
-    mut price: impl FnMut(&[TraceOp]) -> Result<f64, E>,
-) -> Result<CostTable, E> {
-    let mut cost = |trace: Vec<TraceOp>| -> Result<u64, E> {
-        Ok((price(&trace)?.ceil() as u64).max(1))
-    };
+    mut run: impl FnMut(&[TraceOp]) -> Option<f64>,
+) -> Option<CostTable> {
+    let mut cost = |trace: Vec<TraceOp>| Some((run(&trace)?.ceil() as u64).max(1));
     let mut table = CostTable { batch_classes, tenants: Vec::with_capacity(tenants.len()) };
     for t in tenants {
         let prompt_bucket = bucket_log2(t.prompt);
@@ -282,7 +241,45 @@ fn measure<E>(
         }
         table.tenants.push(TenantCosts { prompt_bucket, prefill, decode });
     }
-    Ok(table)
+    Some(table)
+}
+
+/// The device behind a shard, kept for the shard's whole life.
+enum Device {
+    /// A prewarmed PICACHU engine: faults take its degradation ladder.
+    Picachu(Box<PicachuEngine>),
+    /// An analytical baseline.
+    Analytical(Box<dyn Accelerator>),
+}
+
+impl Device {
+    /// Instantiates `spec`'s device (see [`ShardSpec::build_warmed`]).
+    fn new(spec: &ShardSpec, tenants: &[Tenant]) -> Device {
+        match spec {
+            ShardSpec::Picachu(cfg) => Device::Picachu(Box::new(prewarmed(cfg, tenants))),
+            ShardSpec::Gemmini => Device::Analytical(Box::new(GemminiModel::hosted())),
+            ShardSpec::Gpu => Device::Analytical(Box::new(GpuModel::default())),
+            ShardSpec::Cpu => Device::Analytical(Box::new(CpuModel::hosted())),
+            ShardSpec::Tandem => Device::Analytical(Box::new(TandemModel::hosted())),
+            ShardSpec::CgraBase => Device::Analytical(Box::new(HomogeneousCgraModel::hosted())),
+        }
+    }
+}
+
+/// A PICACHU engine with the union of the tenants' nonlinear kernels
+/// compiled in one grouped batch.
+fn prewarmed(cfg: &EngineConfig, tenants: &[Tenant]) -> PicachuEngine {
+    let mut engine = PicachuEngine::new(cfg.clone());
+    let mut ops: BTreeSet<NonlinearOp> = BTreeSet::new();
+    for t in tenants {
+        ops.extend(t.model.nonlinear_ops());
+    }
+    if let Err(e) = engine.prewarm(&ops.into_iter().collect::<Vec<_>>()) {
+        // a healthy-fabric compile failure surfaces again, typed, on the
+        // first trace the engine runs; warn and let that run report it
+        eprintln!("picachu-serve: shard prewarm failed: {e}");
+    }
+    engine
 }
 
 /// One device of the pool, with its measured costs and live fault state.
@@ -295,39 +292,67 @@ pub struct Shard {
     pub backend_name: String,
     /// The fault plan currently applied (empty = healthy).
     pub fault: FaultPlan,
-    /// The measured healthy table.
+    /// The measured healthy table: [`Shard::price`] under the empty plan.
     healthy: CostTable,
     /// The table every price reads: the healthy one or the applied plan's;
     /// `None` while the shard is out of service.
     current: Option<CostTable>,
-    /// This shard's compile cache: its fault path keeps the healthy kernels
-    /// for repair, and a recurring plan compiles once.
-    cache: Arc<CompileCache>,
+    /// The device every table is measured on.
+    device: Device,
 }
 
 impl Shard {
     /// Builds the shard and eagerly measures its healthy cost table over
     /// every bucketed shape the tenants can present (see `measure`).
+    ///
+    /// # Panics
+    /// Panics when a PICACHU shard's kernels fail to map on its healthy
+    /// fabric — a misconfigured device, not a runtime condition.
     pub fn new(id: usize, spec: ShardSpec, tenants: &[Tenant], max_batch: usize) -> Shard {
-        let cache = Arc::new(CompileCache::new());
-        let mut backend = spec.build_warmed_on(tenants, cache.clone());
-        // one real execution per tenant model warms kernel caches, so every
-        // estimate below is exact by the parity contract
-        for t in tenants {
-            backend.execute_trace(&batched_decode_trace(&t.model, t.prompt.max(1), 1));
-        }
+        let device = Device::new(&spec, tenants);
+        let backend_name = match &device {
+            Device::Picachu(engine) => engine.name(),
+            Device::Analytical(backend) => backend.name(),
+        };
+        // `price` reads the table's shape; its entries follow
         let batch_classes = bucket_log2(max_batch) as usize + 1;
-        let Ok(healthy) = measure::<Infallible>(tenants, batch_classes, |trace| {
-            Ok(backend.estimate_trace(trace))
-        });
-        Shard {
+        let mut shard = Shard {
             id,
-            backend_name: backend.name().to_string(),
+            backend_name: backend_name.to_string(),
             spec,
             fault: FaultPlan::none(),
-            current: Some(healthy.clone()),
-            healthy,
-            cache,
+            healthy: CostTable { batch_classes, tenants: Vec::new() },
+            current: None,
+            device,
+        };
+        shard.healthy = shard.price(&FaultPlan::none(), tenants).unwrap_or_else(|| {
+            panic!("shard {id}: the healthy {} prices no table", shard.backend_name)
+        });
+        shard.current = Some(shard.healthy.clone());
+        shard
+    }
+
+    /// Every cost key priced on this shard's device under `plan`; `None`
+    /// when the plan takes the device out of service. PICACHU runs each
+    /// key's trace under the plan; an analytical device runs it under the
+    /// empty plan and otherwise scales the healthy table by 16 / alive.
+    fn price(&mut self, plan: &FaultPlan, tenants: &[Tenant]) -> Option<CostTable> {
+        let batch_classes = self.healthy.batch_classes;
+        match &mut self.device {
+            Device::Picachu(engine) => measure(tenants, batch_classes, |trace| {
+                engine.try_execute_trace_faulted(trace, plan).ok().map(|b| b.total())
+            }),
+            Device::Analytical(backend) if plan.is_empty() => {
+                measure(tenants, batch_classes, |trace| Some(backend.execute_trace(trace).total()))
+            }
+            Device::Analytical(_) => {
+                const NOMINAL_UNITS: usize = 16;
+                let dead = plan.dead_tiles.iter().filter(|&&t| t < NOMINAL_UNITS).count();
+                (dead < NOMINAL_UNITS).then(|| {
+                    let factor = NOMINAL_UNITS as f64 / (NOMINAL_UNITS - dead) as f64;
+                    self.healthy.map(|c| ((c as f64) * factor).ceil() as u64)
+                })
+            }
         }
     }
 
@@ -375,39 +400,16 @@ impl Shard {
         self.table().prefill(tenant, bucket_log2(prompt))
     }
 
-    /// Applies `plan`, replacing the shard's current table.
-    ///
-    /// PICACHU shards re-measure every cost key by running its trace under
-    /// the plan ([`PicachuEngine::try_execute_trace_faulted`], on the
-    /// shard's own compile cache): the kernels take the real degradation
-    /// ladder, and a ladder rejection, ECC storm or DMA exhaustion takes
-    /// the shard out of service. The analytical baselines have no compiler
-    /// to consult, so the plan's dead tiles are read as dead compute units
-    /// out of a nominal 16: every healthy entry scales by 16 / alive (out
-    /// of service when none survive). An empty plan restores the healthy
-    /// table.
+    /// Applies `plan`, replacing the shard's current table with
+    /// [`Shard::price`] under it: out of service when the plan takes the
+    /// device down (a PICACHU ladder rejection, ECC storm or DMA
+    /// exhaustion; every analytical unit dead). An empty plan restores the
+    /// healthy table.
     pub fn apply_fault(&mut self, plan: &FaultPlan, tenants: &[Tenant]) {
         self.current = if plan.is_empty() {
             Some(self.healthy.clone())
         } else {
-            match &self.spec {
-                ShardSpec::Picachu(cfg) => {
-                    let mut engine = PicachuEngine::with_cache(cfg.clone(), self.cache.clone());
-                    measure(tenants, self.healthy.batch_classes, |trace| {
-                        engine.try_execute_trace_faulted(trace, plan).map(|b| b.total())
-                    })
-                    .ok()
-                }
-                _ => {
-                    const NOMINAL_UNITS: usize = 16;
-                    let dead =
-                        plan.dead_tiles.iter().filter(|&&t| t < NOMINAL_UNITS).count();
-                    (dead < NOMINAL_UNITS).then(|| {
-                        let factor = NOMINAL_UNITS as f64 / (NOMINAL_UNITS - dead) as f64;
-                        self.healthy.map(|c| ((c as f64) * factor).ceil() as u64)
-                    })
-                }
-            }
+            self.price(plan, tenants)
         };
         self.fault = plan.clone();
     }
@@ -441,6 +443,20 @@ mod tests {
             decode: (4, 8),
             slo_ns: 1_000_000_000,
             priority: 0,
+        }
+    }
+
+    /// Asserts every entry of `table` is `run` of its key's step trace,
+    /// ceiled to whole ns (at least 1).
+    fn assert_runs(table: &CostTable, ts: &[Tenant], mut run: impl FnMut(&[TraceOp]) -> f64) {
+        for (key, cost) in table.entries() {
+            let t = &ts[key.tenant].model;
+            let trace = if key.prefill {
+                model_trace(t, 1usize << key.bucket)
+            } else {
+                batched_decode_trace(t, 1usize << key.bucket, key.batch as usize)
+            };
+            assert_eq!(cost, (run(&trace).ceil() as u64).max(1), "{key:?}");
         }
     }
 
@@ -496,16 +512,9 @@ mod tests {
         let mut engine = PicachuEngine::new(EngineConfig::default());
         let current = s.current.clone().expect("in service");
         assert!(current.entries().map(|(k, _)| k).eq(s.healthy.entries().map(|(k, _)| k)));
-        for (key, cost) in current.entries() {
-            let t = &ts[key.tenant];
-            let trace = if key.prefill {
-                model_trace(&t.model, 1usize << key.bucket)
-            } else {
-                batched_decode_trace(&t.model, 1usize << key.bucket, key.batch as usize)
-            };
-            let run = engine.try_execute_trace_faulted(&trace, &plan).expect("runs");
-            assert_eq!(cost, (run.total().ceil() as u64).max(1), "{key:?}");
-        }
+        assert_runs(&current, &ts, |trace| {
+            engine.try_execute_trace_faulted(trace, &plan).expect("runs").total()
+        });
         // the healthy table never moved
         let fresh = Shard::new(0, ShardSpec::picachu(), &ts, 4);
         assert_eq!(s.cost_table(), fresh.cost_table());
@@ -515,6 +524,42 @@ mod tests {
         // killing the whole fabric rejects on every rung → out of service
         s.apply_fault(&all_dead(), &ts);
         assert!(!s.in_service());
+    }
+
+    #[test]
+    fn healthy_tables_cost_what_running_each_trace_costs() {
+        let wide = Tenant { name: "wide", prompt: 100, decode: (2, 40), ..tiny_tenant() };
+        let ts = vec![tiny_tenant(), wide];
+        let kinds = [
+            ShardSpec::picachu(),
+            ShardSpec::Gemmini,
+            ShardSpec::Gpu,
+            ShardSpec::Cpu,
+            ShardSpec::Tandem,
+            ShardSpec::CgraBase,
+        ];
+        for spec in kinds {
+            let mut device = spec.build_warmed(&ts);
+            let s = Shard::new(0, spec, &ts, 4);
+            assert_runs(&s.healthy, &ts, |trace| device.execute_trace(trace).total());
+        }
+    }
+
+    #[test]
+    fn reapplying_a_plan_makes_no_compile_cache_lookup() {
+        let ts = vec![tiny_tenant()];
+        let plan = FaultPlan::dead_tile(5);
+        let mut s = Shard::new(0, ShardSpec::picachu(), &ts, 4);
+        s.apply_fault(&plan, &ts);
+        let degraded = s.current.clone();
+        s.apply_fault(&FaultPlan::none(), &ts);
+        let Device::Picachu(engine) = &s.device else { unreachable!("a PICACHU shard") };
+        let cache = engine.compile_cache().clone();
+        let stats = cache.stats();
+        // the shard's own ladder memo answers a plan it has walked before
+        s.apply_fault(&plan, &ts);
+        assert_eq!(cache.stats(), stats, "re-applying a known plan looked up the cache");
+        assert_eq!(s.current, degraded);
     }
 
     #[test]

@@ -5,6 +5,24 @@
 # build and test without network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+REPO_ROOT=$(pwd)
+
+# smoke_thread_invariant <bin> <artifact> <kind>: runs `<bin> --smoke` in a
+# scratch directory at 1 and then at 4 compile threads, fails unless the
+# two results/<artifact> files are byte-identical, checks the artifact with
+# `scripts/check_rows.py <kind>` and removes the scratch directory, so the
+# committed full-run artifact stays untouched.
+smoke_thread_invariant() {
+  local bin=$1 artifact=$2 kind=$3 scratch
+  scratch=$(mktemp -d)
+  (cd "$scratch" && PICACHU_THREADS=1 "$REPO_ROOT/target/release/$bin" --smoke)
+  mv "$scratch/results/$artifact" "$scratch/$artifact.t1"
+  (cd "$scratch" && PICACHU_THREADS=4 "$REPO_ROOT/target/release/$bin" --smoke)
+  cmp "$scratch/results/$artifact" "$scratch/$artifact.t1" \
+    || { echo "$kind smoke: FAILED ($artifact differs between 1 and 4 threads)"; exit 1; }
+  python3 scripts/check_rows.py "$kind" "$scratch/results/$artifact"
+  rm -rf "$scratch"
+}
 
 echo "== statics ratchet (no process-global mutable state outside the allowlist) =="
 # A compile cache, counter or store directory held in a `static` makes an
@@ -53,17 +71,8 @@ echo "== soak smoke (chaos: crash/retry/preempt/shed invariants, thread-invarian
 # The chaos soak's --smoke mode replays a short trace under the full chaos
 # schedule (in-binary: audit + replay bit-exactness + event floor). On top
 # of that the gate checks the artifact schema, the availability floor, and
-# that the artifact is byte-identical at 1 and 4 compile threads. Runs from
-# a scratch directory so the committed full-run artifact stays untouched.
-REPO_ROOT=$(pwd)
-SOAK_SCRATCH=$(mktemp -d)
-(cd "$SOAK_SCRATCH" && PICACHU_THREADS=1 "$REPO_ROOT/target/release/serve_soak" --smoke)
-mv "$SOAK_SCRATCH/results/BENCH_soak.json" "$SOAK_SCRATCH/soak.t1.json"
-(cd "$SOAK_SCRATCH" && PICACHU_THREADS=4 "$REPO_ROOT/target/release/serve_soak" --smoke)
-cmp "$SOAK_SCRATCH/results/BENCH_soak.json" "$SOAK_SCRATCH/soak.t1.json" \
-  || { echo "soak smoke: FAILED (artifact differs between 1 and 4 threads)"; exit 1; }
-python3 scripts/check_rows.py soak "$SOAK_SCRATCH/results/BENCH_soak.json"
-rm -rf "$SOAK_SCRATCH"
+# that the artifact is byte-identical at 1 and 4 compile threads.
+smoke_thread_invariant serve_soak BENCH_soak.json soak
 
 echo "== deterministic artifacts (every results/ file regenerated byte-identical) =="
 # Every artifact but the wall-clock BENCH_compile.json is a pure function
@@ -142,31 +151,14 @@ echo "== pnr smoke (staged P&R: paper-scale bit-identity + 16x16 payoff, thread-
 # (annealed Place->Route->Fold). The gate checks the artifact schema, that
 # Auto==Greedy stays bit-identical at paper scale, that the annealed engine
 # demonstrates a payoff at 16x16, and that the artifact is byte-identical at
-# 1 and 4 compile threads. Scratch directory keeps the committed full-run
-# artifact untouched.
-PNR_SCRATCH=$(mktemp -d)
-(cd "$PNR_SCRATCH" && PICACHU_THREADS=1 "$REPO_ROOT/target/release/pnr_scaling" --smoke)
-mv "$PNR_SCRATCH/results/BENCH_pnr.json" "$PNR_SCRATCH/pnr.t1.json"
-(cd "$PNR_SCRATCH" && PICACHU_THREADS=4 "$REPO_ROOT/target/release/pnr_scaling" --smoke)
-cmp "$PNR_SCRATCH/results/BENCH_pnr.json" "$PNR_SCRATCH/pnr.t1.json" \
-  || { echo "pnr smoke: FAILED (artifact differs between 1 and 4 threads)"; exit 1; }
-python3 scripts/check_rows.py pnr "$PNR_SCRATCH/results/BENCH_pnr.json"
-rm -rf "$PNR_SCRATCH"
+# 1 and 4 compile threads.
+smoke_thread_invariant pnr_scaling BENCH_pnr.json pnr
 
 echo "== dse smoke (seeded mini-search: artifact schema + thread-count invariance) =="
 # The co-design search must emit a non-empty, schema-valid pareto.json and
 # the artifact must be bit-identical at 1 and 4 worker threads (the search
 # parallelizes candidate evaluation but is seeded and submission-ordered).
-# Scratch directory keeps the committed full-run results/pareto.json
-# untouched.
-DSE_SCRATCH=$(mktemp -d)
-(cd "$DSE_SCRATCH" && PICACHU_THREADS=1 "$REPO_ROOT/target/release/dse_pareto" --smoke)
-mv "$DSE_SCRATCH/results/pareto.json" "$DSE_SCRATCH/pareto.t1.json"
-(cd "$DSE_SCRATCH" && PICACHU_THREADS=4 "$REPO_ROOT/target/release/dse_pareto" --smoke)
-cmp "$DSE_SCRATCH/results/pareto.json" "$DSE_SCRATCH/pareto.t1.json" \
-  || { echo "dse smoke: FAILED (pareto.json differs between 1 and 4 threads)"; exit 1; }
-python3 scripts/check_rows.py dse "$DSE_SCRATCH/results/pareto.json"
-rm -rf "$DSE_SCRATCH"
+smoke_thread_invariant dse_pareto pareto.json dse
 
 echo "== perfbench (builds against the crates; one short traced compile-cold cycle) =="
 # perfbench is a workspace of its own, so a crate API change that breaks it

@@ -31,7 +31,7 @@ fn prefill() -> Vec<TraceOp> {
 }
 
 fn decode() -> Vec<TraceOp> {
-    picachu_llm::decode_trace(&ModelConfig::gpt2(), 128)
+    picachu_llm::trace::batched_decode_trace(&ModelConfig::gpt2(), 128, 1)
 }
 
 fn assert_sane(r: &ExecutionReport, workload: &str) {
@@ -151,29 +151,6 @@ fn cost_hints_are_exact_when_warm_and_bounded_when_cold() {
             assert_eq!(again.to_bits(), measured.to_bits(), "{name}: estimate perturbed state");
         }
     }
-}
-
-#[test]
-fn default_hint_floor_is_not_good_enough_for_the_a100() {
-    // the gap this suite exposed: the trait's default macs+elements floor
-    // prices one MAC per cycle, but the A100 retires thousands of MACs per
-    // ns — so the floor overprices a decode trace by ~two orders of
-    // magnitude while simultaneously ignoring the 8 µs kernel launches
-    // that actually dominate it. That is why GpuModel overrides
-    // `estimate_trace` with its full roofline; keep the negative result on
-    // record so nobody "simplifies" the override away.
-    let trace = decode();
-    let floor: f64 = trace.iter().map(|o| (o.macs() + o.elements()) as f64).sum();
-    let mut gpu = GpuModel::default();
-    let measured = Accelerator::execute_trace(&mut gpu, &trace).total();
-    assert!(
-        floor > 10.0 * measured,
-        "floor {floor:.3e} vs measured {measured:.3e}: the default floor \
-         suddenly models the A100?"
-    );
-    // while the override stays exact on the very same trace
-    let hinted = Accelerator::estimate_trace(&gpu, &trace);
-    assert!((hinted - measured).abs() / measured <= HINT_WARM_TOLERANCE);
 }
 
 #[test]
