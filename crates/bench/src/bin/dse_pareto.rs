@@ -4,9 +4,9 @@
 //! the 4-D Pareto frontier (latency, energy, area, fault resilience) as
 //! `results/pareto.json`.
 //!
-//! `--smoke` (or `PICACHU_DSE_SMOKE=1`) runs the seeded mini-search CI
-//! uses: one small model, the reduced knob domains, and a fixed seed — the
-//! artifact must be bit-identical across `PICACHU_THREADS` settings.
+//! `--smoke` runs the seeded mini-search CI uses: one small model, the
+//! reduced knob domains, and a fixed seed — the artifact must be
+//! bit-identical across `PICACHU_THREADS` settings.
 
 use picachu::dse::{search, SearchConfig};
 use picachu_bench::{banner, emit, json_obj, Json};
@@ -16,9 +16,7 @@ use picachu_llm::ModelConfig;
 const ARTIFACT: &str = "pareto";
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var_os("PICACHU_DSE_SMOKE").is_some();
-    if smoke {
+    if std::env::args().any(|a| a == "--smoke") {
         return smoke_main();
     }
     banner("DSE", "PICACHU multi-objective co-design search (seq 256)");

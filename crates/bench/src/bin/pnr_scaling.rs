@@ -42,8 +42,7 @@ struct Case {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("PICACHU_PNR_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = std::env::args().any(|a| a == "--smoke");
     banner(
         "PNR",
         "staged Place->Route->Fold vs greedy across fabric sizes",

@@ -6,10 +6,9 @@
 //! to per-shard service time — so the curves stay meaningful as cost
 //! models evolve.
 //!
-//! `--smoke` (or `PICACHU_SERVE_SMOKE=1`) runs one short seeded trace,
-//! machine-checks the scheduler invariants and bit-exact replay, and
-//! exercises the JSON emission path against a temp directory instead of
-//! `results/`.
+//! `--smoke` runs one short seeded trace, machine-checks the scheduler
+//! invariants and bit-exact replay, and exercises the JSON emission path
+//! against a temp directory instead of `results/`.
 
 use picachu_bench::{banner, emit, json_obj, Json};
 use picachu_llm::ModelConfig;
@@ -68,9 +67,7 @@ fn check(cfg: &ServeConfig, report: &ServeReport) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("PICACHU_SERVE_SMOKE").is_ok();
-    if smoke {
+    if std::env::args().any(|a| a == "--smoke") {
         return smoke_main();
     }
 

@@ -7,11 +7,11 @@
 //! `results/BENCH_soak.json`: availability, shed rate, retry
 //! amplification and tail latency under chaos.
 //!
-//! `--smoke` (or `PICACHU_SOAK_SMOKE=1`) runs the same pipeline on a short
-//! trace, additionally asserts bit-exact replay, and emits the same row
-//! schema (with `"mode":"smoke"`) into `results/` under the *current*
-//! directory — the verify harness runs it from a scratch directory so the
-//! committed full-run artifact stays untouched.
+//! `--smoke` runs the same pipeline on a short trace, additionally asserts
+//! bit-exact replay, and emits the same row schema (with `"mode":"smoke"`)
+//! into `results/` under the *current* directory — the verify harness runs
+//! it from a scratch directory so the committed full-run artifact stays
+//! untouched.
 
 use picachu_bench::{banner, emit, json_obj, Json};
 use picachu_llm::ModelConfig;
@@ -90,15 +90,9 @@ fn soak_config(n_requests: usize) -> ServeConfig {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("PICACHU_SOAK_SMOKE").is_ok();
-    let (mode, default_requests, min_events) =
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let (mode, n_requests, min_events) =
         if smoke { ("smoke", 3_000, 10_000u64) } else { ("full", 300_000, 1_000_000u64) };
-    // undocumented escape hatch for profiling odd trace sizes
-    let n_requests = std::env::var("PICACHU_SOAK_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default_requests);
     banner(
         "SOAK",
         "chaos soak: crashes, retries, preemption and shedding at event scale",

@@ -290,9 +290,8 @@ impl PicachuEngine {
     /// Raw CGRA compute cycles for one nonlinear trace op (no memory-system
     /// effects) — the quantity the kernel-level figures use.
     pub fn nonlinear_compute_cycles(&mut self, op: NonlinearOp, rows: usize, channel: usize) -> u64 {
-        let loops: Vec<CompiledLoop> = self.compile_op(op).to_vec();
         let elems = (rows * channel) as u64;
-        loops.iter().map(|l| l.cycles(elems)).sum()
+        self.compile_op(op).iter().map(|l| l.cycles(elems)).sum()
     }
 
     /// Executes a full operator trace with the §4.2.4 dataflow cases: the
@@ -311,11 +310,12 @@ impl PicachuEngine {
     /// Executes `trace` under a fault plan, the engine's one trace walk that
     /// compiles: the distinct nonlinear ops warm their healthy loops in one
     /// flat batch ([`CompileService::warm`]), take the degradation ladder
-    /// ([`PicachuEngine::compile_op_degraded`]; on an intact fabric, the
-    /// healthy loops) and the dispatcher walks the trace against them. The
-    /// plan's SRAM/DMA fault service ([`Dispatcher::fault_overhead`]) lands
-    /// in the `overhead` phase, so the other terms keep their healthy
-    /// accounting. Deterministic in `(self.config, trace, plan)`.
+    /// ([`PicachuEngine::compile_op_degraded`]; on an intact fabric, a memo
+    /// hit on the healthy entry the warm recorded) and the dispatcher walks
+    /// the trace against them. The plan's SRAM/DMA fault service
+    /// ([`Dispatcher::fault_overhead`]) lands in the `overhead` phase, so the
+    /// other terms keep their healthy accounting. Deterministic in
+    /// `(self.config, trace, plan)`.
     ///
     /// # Errors
     /// [`PicachuError::Compile`] when an op survives no rung of the ladder
@@ -337,13 +337,12 @@ impl PicachuEngine {
         }
         // a healthy compile failure is the ladder's to report, below
         let _ = self.compile.warm(&self.config, &ops);
-        let mut loops: HashMap<NonlinearOp, Arc<Vec<CompiledLoop>>> =
-            HashMap::with_capacity(ops.len());
+        let mut loops = HashMap::with_capacity(ops.len());
         for op in ops {
             loops.insert(op, self.compile.compile_op_degraded(&self.config, op, plan)?.loops);
         }
         let mut totals =
-            self.dispatch.execute_trace(&self.config, trace, &mut |op| loops[&op].clone());
+            self.dispatch.execute_trace(&self.config, trace, &mut |op| loops[&op].as_slice());
         let overhead = self.dispatch.fault_overhead(&self.config, trace, plan)?;
         totals.overhead = totals.overhead.saturating_add(overhead);
         Ok(totals.breakdown())
@@ -414,11 +413,11 @@ impl Accelerator for PicachuEngine {
         self.report(b)
     }
 
-    /// The capacity hint. **Warm** (this engine has compiled every distinct
-    /// nonlinear op of the trace itself; what engines sharing its compile
-    /// cache put there does not count): runs the real dispatcher read-only
-    /// against the engine's mappings, so the estimate *is* the measurement,
-    /// bit for bit. **Cold**: GEMM cycles
+    /// The capacity hint. **Warm** (this engine's compile memo holds a
+    /// healthy entry with loops for every distinct nonlinear op of the
+    /// trace; what engines sharing its compile cache put there does not
+    /// count): runs the real dispatcher read-only against those mappings, so
+    /// the estimate *is* the measurement, bit for bit. **Cold**: GEMM cycles
     /// are still exact (the systolic model is stateless); nonlinear work
     /// is priced at [`COLD_NONLINEAR_CYCLES_PER_ELEMENT`] without mapping
     /// anything — crude, and the parity suite bounds the error to a small
@@ -426,13 +425,12 @@ impl Accelerator for PicachuEngine {
     /// shard prices its table by running traces.
     fn estimate_trace(&self, trace: &[TraceOp]) -> f64 {
         let warm = trace.iter().all(|t| match *t {
-            TraceOp::Nonlinear { op, .. } => self.compile.is_compiled(op),
+            TraceOp::Nonlinear { op, .. } => !self.compile.loops(op).is_empty(),
             TraceOp::Gemm { .. } => true,
         });
         if warm {
-            let totals = self.dispatch.execute_trace(&self.config, trace, &mut |op| {
-                self.compile.loops(op).clone()
-            });
+            let totals =
+                self.dispatch.execute_trace(&self.config, trace, &mut |op| self.compile.loops(op));
             return totals.breakdown().total();
         }
         trace

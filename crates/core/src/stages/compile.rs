@@ -4,13 +4,13 @@
 //! per loop picks the unroll factor minimizing the per-element II (and the
 //! INT16 vector factor when the format selects it). All compilation flows
 //! through the service's [`CompileCache`] handle (private to its engine
-//! unless the engine was built on a shared one), with a per-op view on top
-//! so the hot path never takes the cache lock twice for the same op. Every
-//! compile is a function of `(config, op, fault plan)` only: whether an
-//! engine sharing the handle already compiled a key changes how fast an
-//! answer arrives, never which answer. Under faults the service walks the
-//! DESIGN §7 degradation ladder: incremental repair → re-map →
-//! universal-fabric re-map → reject.
+//! unless the engine was built on a shared one), with one answer memo per
+//! op and fault set on top; the healthy compile is its empty-fault entry,
+//! which only [`CompileService::warm`] produces. Every compile is a function
+//! of `(config, op, fault plan)` only: whether an engine sharing the handle
+//! already compiled a key changes how fast an answer arrives, never which
+//! answer. Under faults the service walks the DESIGN §7 degradation ladder:
+//! incremental repair → re-map → universal-fabric re-map → reject.
 //!
 //! Cold compilation is one **flat** parallel pass: the full
 //! `(op × loop × unroll × II × attempt)` search space goes to
@@ -103,27 +103,32 @@ impl CompiledLoop {
     }
 }
 
+/// A memo key: the op plus a fault plan's dead tiles and dead links, as the
+/// degraded [`CompileKey`] carries them.
+type MemoKey = (NonlinearOp, Vec<usize>, Vec<(usize, usize)>);
+
+/// The memo key of `op`'s healthy compile (allocates nothing).
+fn healthy_key(op: NonlinearOp) -> MemoKey {
+    (op, Vec::new(), Vec::new())
+}
+
 /// The compile stage: owns the fabric specification, the compile-cache
-/// handle and a per-op view of it.
+/// handle and the memo of every answer it gave.
 #[derive(Debug)]
 pub struct CompileService {
     spec: CgraSpec,
     pub(crate) cache: Arc<CompileCache>,
-    /// The healthy loops of every op this service compiled: one
-    /// [`CompileCache`] lookup per op after the first, no lock traffic on
-    /// the hot path.
-    compiled: HashMap<NonlinearOp, Arc<Vec<CompiledLoop>>>,
-    /// Every degradation-ladder answer this service walked, per degraded
-    /// key: a rung's failure publishes nothing to the cache, so without
-    /// this a repeat request would re-run every failing rung.
-    ladder: HashMap<CompileKey, Result<DegradedCompile, PicachuError>>,
+    /// Every answer this service gave, failures included (a failure
+    /// publishes nothing to the cache): a repeat request is answered here
+    /// without a cache lookup or a rung walked.
+    memo: HashMap<MemoKey, Result<DegradedCompile, PicachuError>>,
 }
 
 impl CompileService {
     /// A service compiling onto `spec` through `cache` (kernels compile
     /// lazily on first use).
     pub fn new(spec: CgraSpec, cache: Arc<CompileCache>) -> CompileService {
-        CompileService { spec, cache, compiled: HashMap::new(), ladder: HashMap::new() }
+        CompileService { spec, cache, memo: HashMap::new() }
     }
 
     /// The CGRA fabric specification in use.
@@ -131,23 +136,17 @@ impl CompileService {
         &self.spec
     }
 
-    /// The loops this service compiled for `op`.
-    ///
-    /// # Panics
-    /// Panics if `op` was never compiled through this service — callers go
-    /// through [`CompileService::try_compile_op`] (or check
-    /// [`CompileService::is_compiled`]) first.
-    pub(crate) fn loops(&self, op: NonlinearOp) -> &Arc<Vec<CompiledLoop>> {
-        &self.compiled[&op]
+    /// The healthy loops this service holds for `op`, empty when it has not
+    /// compiled `op` or `op` failed to map (every kernel has a loop). Never
+    /// reads the shared cache, so it depends only on this service's calls.
+    pub(crate) fn loops(&self, op: NonlinearOp) -> &[CompiledLoop] {
+        match self.memo.get(&healthy_key(op)) {
+            Some(Ok(healthy)) => &healthy.loops,
+            _ => &[],
+        }
     }
 
-    /// Whether this service has compiled `op`. Never reads the shared
-    /// cache, so the answer depends only on this service's own calls.
-    pub(crate) fn is_compiled(&self, op: NonlinearOp) -> bool {
-        self.compiled.contains_key(&op)
-    }
-
-    /// The non-panicking compile path: compiles (or returns cached) loops,
+    /// The non-panicking compile path: the loops of `op`'s healthy entry,
     /// reporting failure as a typed error instead of aborting.
     ///
     /// # Errors
@@ -158,23 +157,18 @@ impl CompileService {
         config: &EngineConfig,
         op: NonlinearOp,
     ) -> Result<Arc<Vec<CompiledLoop>>, PicachuError> {
-        if let Some(hit) = self.compiled.get(&op) {
-            return Ok(hit.clone());
-        }
-        let compiled = self.cache.get_or_compile(self.compile_key(config, op), || {
-            self.compile_one(config, op, &self.spec, &ResourceMask::full(&self.spec))
-        })?;
-        self.compiled.insert(op, compiled.clone());
-        Ok(compiled)
+        self.compile_op_degraded(config, op, &FaultPlan::none()).map(|healthy| healthy.loops)
     }
 
-    /// Compiles every distinct operation in `ops`, submitting the **entire**
-    /// `(op × loop × unroll × II × attempt)` search space of the true cache
-    /// misses as one flat grouped pass on the [`picachu_runtime`] pool (see
-    /// [`CompileService::compile_batch`]). Mapping is deterministic per
-    /// `(config, op)`, so the cache ends bit-identical to a serial warm —
-    /// only wall-clock changes. The engine's trace walk calls this first,
-    /// so a cold engine doesn't compile op by op on the walk.
+    /// Records the healthy entry of every distinct operation in `ops`, the
+    /// only code that produces one. Ops without an entry look up the cache
+    /// once each, and the **entire** `(op × loop × unroll × II × attempt)`
+    /// search space of the true misses goes to the [`picachu_runtime`] pool
+    /// as one flat grouped pass (see [`CompileService::compile_batch`]),
+    /// bit-identical to a serial warm. Every op's answer is recorded,
+    /// failures included, so a failing op discards no sibling's work. The
+    /// engine's trace walk calls this first, so a cold engine doesn't
+    /// compile op by op on the walk.
     ///
     /// # Errors
     /// [`PicachuError::Compile`] for the first (in `ops` order) operation
@@ -184,44 +178,54 @@ impl CompileService {
         config: &EngineConfig,
         ops: &[NonlinearOp],
     ) -> Result<(), PicachuError> {
+        // an intact-fabric plan's answer: every tile alive, no II inflation
+        let alive_tiles = self.spec.len();
+        let healthy = |loops: Result<_, PicachuError>| {
+            let fallback = FallbackLevel::Remapped;
+            loops.map(|loops| DegradedCompile { loops, fallback, ii_inflation: 1.0, alive_tiles })
+        };
         let mut misses: Vec<NonlinearOp> = Vec::new();
         for &op in ops {
-            if self.compiled.contains_key(&op) || misses.contains(&op) {
+            if self.memo.contains_key(&healthy_key(op)) || misses.contains(&op) {
                 continue;
             }
             // cache hits are cheap lookups; only real mapping work goes to
             // the pool
-            if let Some(hit) = self.cache.lookup(&self.compile_key(config, op)) {
-                self.compiled.insert(op, hit);
-            } else {
+            let Some(hit) = self.cache.lookup(&self.compile_key(config, op)) else {
                 misses.push(op);
+                continue;
+            };
+            self.memo.insert(healthy_key(op), healthy(Ok(hit)));
+        }
+        if !misses.is_empty() {
+            let full = ResourceMask::full(&self.spec);
+            let compiled = self.compile_batch(config, &misses, &self.spec, &full)?;
+            for (&op, loops) in misses.iter().zip(compiled) {
+                let loops = loops.map(|l| self.cache.publish(self.compile_key(config, op), l));
+                self.memo.insert(healthy_key(op), healthy(loops));
             }
         }
-        if misses.is_empty() {
-            return Ok(());
-        }
-        let full = ResourceMask::full(&self.spec);
-        let compiled = self.compile_batch(config, &misses, &self.spec, &full)?;
-        for (&op, loops) in misses.iter().zip(compiled) {
-            let arc = self.cache.publish(self.compile_key(config, op), loops?);
-            self.compiled.insert(op, arc);
+        for &op in ops {
+            if let Some(Err(e)) = self.memo.get(&healthy_key(op)) {
+                return Err(e.clone());
+            }
         }
         Ok(())
     }
 
-    /// Compiles `op` for a faulted fabric, walking the degradation ladder
-    /// (DESIGN §7). The healthy compile comes first ([`Self::try_compile_op`],
-    /// a memo hit when warm): on an intact fabric it is the answer, otherwise
-    /// it is the II-inflation base and the repair base. Then **incremental
+    /// Compiles `op` for a fault plan's fabric: the memo's answer for the op
+    /// and the plan's dead tiles and dead links. On an intact fabric that is
+    /// the healthy entry, which [`Self::warm`] records on a miss; otherwise a
+    /// miss walks the degradation ladder (DESIGN §7). The healthy compile
+    /// comes first, as the II-inflation and repair base. Then **incremental
     /// repair** of the healthy mapping (retained II, only the disturbed
     /// sub-DFG re-placed) → **re-map** around the dead resources on the
     /// engine's own fabric → **universal-fabric** re-map (every PE supports
     /// every opcode) → **reject** with the primary error. Every successful
     /// compile is published to the service's cache under its exact fault
-    /// set, so repeated requests against the same degraded part hit it,
-    /// and the service remembers each answer (failures included) per
-    /// degraded key, so a repeat request on the same service walks no rung
-    /// at all.
+    /// set, so repeated requests against the same degraded part hit it, and
+    /// the memo keeps each answer (failures included), so a repeat request
+    /// on the same service walks no rung at all.
     ///
     /// # Errors
     /// [`PicachuError::Compile`] when every rung fails — the error carries
@@ -233,79 +237,68 @@ impl CompileService {
         op: NonlinearOp,
         plan: &FaultPlan,
     ) -> Result<DegradedCompile, PicachuError> {
-        let key = self.degraded_key(config, op, plan, false);
-        if let Some(answer) = self.ladder.get(&key) {
+        let key: MemoKey = (
+            op,
+            plan.dead_tiles.iter().copied().collect(),
+            plan.dead_links.iter().copied().collect(),
+        );
+        if let Some(answer) = self.memo.get(&key) {
             return answer.clone();
         }
-        let answer = self.walk_ladder(config, op, plan, &key);
-        self.ladder.insert(key, answer.clone());
-        answer
+        if !plan.fabric_intact() {
+            let answer = self.walk_ladder(config, op, plan);
+            self.memo.insert(key, answer.clone());
+            return answer;
+        }
+        // warm records the answer, or returns a search worker's panic
+        self.warm(config, std::slice::from_ref(&op))?;
+        self.memo[&key].clone()
     }
 
-    /// The ladder walk behind [`Self::compile_op_degraded`]; `key` is the
-    /// plan's own-fabric degraded key.
+    /// The ladder walk behind [`Self::compile_op_degraded`] for a plan with
+    /// dead tiles or links.
     fn walk_ladder(
         &mut self,
         config: &EngineConfig,
         op: NonlinearOp,
         plan: &FaultPlan,
-        key: &CompileKey,
     ) -> Result<DegradedCompile, PicachuError> {
+        let healthy = self.try_compile_op(config, op).ok();
+        let healthy_ii: Option<u64> =
+            healthy.as_ref().map(|loops| loops.iter().map(|l| l.mapping.ii as u64).sum());
+        let answer = |loops: Arc<Vec<CompiledLoop>>, fallback, alive_tiles| {
+            let ii: u64 = loops.iter().map(|l| l.mapping.ii as u64).sum();
+            let ii_inflation = match healthy_ii {
+                Some(h) if h > 0 => ii as f64 / h as f64,
+                _ => 1.0,
+            };
+            DegradedCompile { loops, fallback, ii_inflation, alive_tiles }
+        };
+        let key = self.degraded_key(config, op, plan, false);
         let mask = ResourceMask::degraded(
             &self.spec,
             plan.dead_tiles.iter().copied(),
             plan.dead_links.iter().copied(),
         );
-        let alive = mask.alive_count();
-        let healthy = self.try_compile_op(config, op);
-        // intact fabric: the healthy compile *is* the degraded compile
-        if plan.fabric_intact() {
-            return Ok(DegradedCompile {
-                loops: healthy?,
-                fallback: FallbackLevel::Remapped,
-                ii_inflation: 1.0,
-                alive_tiles: alive,
-            });
-        }
-        let healthy = healthy.ok();
-        let healthy_ii: Option<u64> =
-            healthy.as_ref().map(|loops| loops.iter().map(|l| l.mapping.ii as u64).sum());
         // rung 1: incremental repair — retain the healthy II and every
         // placement the faults did not disturb, re-placing only the affected
         // sub-DFG. Off when the config opts out (`incremental_repair: false`
         // deployments keep no mapping resident, so every fault is a full
         // re-map — a DSE compiler-strategy knob).
-        if config.incremental_repair {
-            if let Some(healthy) = &healthy {
-                let ikey = CompileKey { incremental: true, ..key.clone() };
-                let repaired = self.cache.get_or_compile(ikey, || {
-                    self.try_repair_loops(config, op, &mask, healthy).ok_or(())
-                });
-                if let Ok(loops) = repaired {
-                    let ii_inflation = CompileService::ii_inflation(healthy_ii, &loops);
-                    return Ok(DegradedCompile {
-                        loops,
-                        fallback: FallbackLevel::Incremental,
-                        ii_inflation,
-                        alive_tiles: alive,
-                    });
-                }
+        if let (true, Some(healthy)) = (config.incremental_repair, &healthy) {
+            let ikey = CompileKey { incremental: true, ..key.clone() };
+            let repaired = self.cache.get_or_compile(ikey, || {
+                self.try_repair_loops(config, op, &mask, healthy).ok_or(())
+            });
+            if let Ok(loops) = repaired {
+                return Ok(answer(loops, FallbackLevel::Incremental, mask.alive_count()));
             }
         }
         // rung 2: full re-map around the faults on the engine's own fabric
-        let primary = self
-            .cache
-            .get_or_compile(key.clone(), || self.compile_one(config, op, &self.spec, &mask));
+        let primary =
+            self.cache.get_or_compile(key, || self.compile_one(config, op, &self.spec, &mask));
         let primary_err = match primary {
-            Ok(loops) => {
-                let ii_inflation = CompileService::ii_inflation(healthy_ii, &loops);
-                return Ok(DegradedCompile {
-                    loops,
-                    fallback: FallbackLevel::Remapped,
-                    ii_inflation,
-                    alive_tiles: alive,
-                });
-            }
+            Ok(loops) => return Ok(answer(loops, FallbackLevel::Remapped, mask.alive_count())),
             Err(e) => e,
         };
         // rung 3: the all-universal fallback fabric, same fault set
@@ -316,29 +309,11 @@ impl CompileService {
             plan.dead_links.iter().copied(),
         );
         let ukey = self.degraded_key(config, op, plan, true);
-        let fallback =
-            self.cache.get_or_compile(ukey, || self.compile_one(config, op, &uspec, &umask));
-        match fallback {
-            Ok(loops) => {
-                let ii_inflation = CompileService::ii_inflation(healthy_ii, &loops);
-                Ok(DegradedCompile {
-                    loops,
-                    fallback: FallbackLevel::Universal,
-                    ii_inflation,
-                    alive_tiles: umask.alive_count(),
-                })
-            }
+        self.cache
+            .get_or_compile(ukey, || self.compile_one(config, op, &uspec, &umask))
+            .map(|loops| answer(loops, FallbackLevel::Universal, umask.alive_count()))
             // rung 4: reject, with the informative (own-fabric) diagnosis
-            Err(_) => Err(primary_err),
-        }
-    }
-
-    fn ii_inflation(healthy_ii: Option<u64>, loops: &[CompiledLoop]) -> f64 {
-        let degraded: u64 = loops.iter().map(|l| l.mapping.ii as u64).sum();
-        match healthy_ii {
-            Some(h) if h > 0 => degraded as f64 / h as f64,
-            _ => 1.0,
-        }
+            .map_err(|_| primary_err)
     }
 
     /// The cache key for this configuration's compilation of
@@ -582,14 +557,11 @@ impl CompileService {
         mask: &ResourceMask,
     ) -> Result<Vec<CompiledLoop>, PicachuError> {
         let mut results = self.compile_batch(config, std::slice::from_ref(&op), spec, mask)?;
-        match results.pop() {
-            Some(r) => r,
-            None => Err(PicachuError::Compile {
-                op,
-                label: String::new(),
-                source: MapError::Internal("compile batch returned no result"),
-            }),
-        }
+        results.pop().unwrap_or(Err(PicachuError::Compile {
+            op,
+            label: String::new(),
+            source: MapError::Internal("compile batch returned no result"),
+        }))
     }
 
     /// Attempts an incremental repair of every loop of `op`'s cached healthy
@@ -968,6 +940,50 @@ mod tests {
         assert_eq!(again.loops, first.loops);
         assert_eq!(again.ii_inflation.to_bits(), first.ii_inflation.to_bits());
         assert_eq!(svc.cache.stats(), stats, "the repeat walked a rung");
+    }
+
+    #[test]
+    fn a_failing_warm_keeps_every_sibling_answer() {
+        // on a 1×3 fabric at unroll factor 16 RoPE fails to map and ReLU maps
+        let config = EngineConfig {
+            cgra_rows: 1,
+            cgra_cols: 3,
+            unroll_candidates: vec![16],
+            ..EngineConfig::default()
+        };
+        let mut svc = service_on(CgraSpec::picachu(1, 3));
+        let (failing, mapping) = (NonlinearOp::Rope, NonlinearOp::Relu);
+        let err = svc.warm(&config, &[failing, mapping]).expect_err("RoPE must fail to map");
+        assert!(matches!(err, PicachuError::Compile { op: NonlinearOp::Rope, .. }), "{err}");
+        let stats = svc.cache.stats();
+        svc.try_compile_op(&config, mapping).expect("ReLU maps");
+        assert_eq!(svc.cache.stats(), stats, "the failing warm dropped ReLU's compile");
+        let again = svc.try_compile_op(&config, failing).expect_err("RoPE still fails");
+        assert_eq!(again, err, "a repeat must return the remembered error");
+        assert_eq!(svc.cache.stats(), stats, "the failed compile ran again");
+    }
+
+    #[test]
+    fn the_healthy_compile_is_the_empty_plan_answer() {
+        let (mut svc, config) = service();
+        let op = NonlinearOp::Softmax;
+        let healthy = svc.compile_op_degraded(&config, op, &FaultPlan::none()).expect("healthy");
+        let loops = svc.try_compile_op(&config, op).expect("compiles");
+        assert!(Arc::ptr_eq(&healthy.loops, &loops), "two healthy answers for one op");
+        let rung = |dc: &DegradedCompile| (dc.fallback, dc.ii_inflation.to_bits(), dc.alive_tiles);
+        assert_eq!(rung(&healthy), (FallbackLevel::Remapped, 1.0f64.to_bits(), 16));
+        let stats = svc.cache.stats();
+        svc.compile_op_degraded(&config, op, &FaultPlan::none()).expect("repeat");
+        svc.try_compile_op(&config, op).expect("repeat");
+        assert_eq!(svc.cache.stats(), stats, "a repeat healthy request looked up the cache");
+        // a dead tile off the fabric leaves the mask full, yet it is a fault
+        // set of its own: the ladder runs, and its repair rung answers
+        let stray = svc.compile_op_degraded(&config, op, &FaultPlan::dead_tile(99)).expect("stray");
+        assert_eq!(rung(&stray), (FallbackLevel::Incremental, 1.0f64.to_bits(), 16));
+        let mask = ResourceMask::degraded(svc.spec(), [99], []);
+        let repaired = svc.try_repair_loops(&config, op, &mask, &loops).expect("repairs");
+        assert_eq!(*stray.loops, repaired);
+        assert_ne!(stray.loops, loops, "the stray plan was answered as healthy");
     }
 
     #[test]

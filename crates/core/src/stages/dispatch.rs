@@ -22,7 +22,6 @@ use picachu_faults::FaultPlan;
 use picachu_llm::trace::TraceOp;
 use picachu_nonlinear::{NonlinearOp, OpCategory};
 use picachu_systolic::{DmaModel, SharedBuffer, SystolicArray};
-use std::sync::Arc;
 
 /// Most detected-uncorrectable ECC words the engine re-fetches from DRAM per
 /// request before declaring the SRAM unserviceable
@@ -99,11 +98,11 @@ impl Dispatcher {
     /// per-phase cycle totals. `compile` supplies the loops for each
     /// nonlinear op (the ladder's answer under a plan, or the healthy view
     /// of a warm estimate — the walk does not care).
-    pub fn execute_trace(
+    pub fn execute_trace<'a>(
         &self,
         config: &EngineConfig,
         trace: &[TraceOp],
-        compile: &mut dyn FnMut(NonlinearOp) -> Arc<Vec<CompiledLoop>>,
+        compile: &mut dyn FnMut(NonlinearOp) -> &'a [CompiledLoop],
     ) -> PhaseTotals {
         let mut t = PhaseTotals::default();
         let mut pending_gemm: u64 = 0; // cycles of the producing GEMM

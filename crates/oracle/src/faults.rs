@@ -134,12 +134,10 @@ impl FaultSweepConfig {
     }
 }
 
-/// Runs the fault sweep. `PICACHU_FAULT_REPLAY=<index>` restricts it to one
-/// case, bit-identical to that case inside the full run.
-pub fn run_fault_sweep(cfg: &FaultSweepConfig) -> OracleReport {
-    let replay: Option<usize> = std::env::var("PICACHU_FAULT_REPLAY")
-        .ok()
-        .and_then(|s| s.parse().ok());
+/// Runs the fault sweep. `replay = Some(index)` restricts it to one case,
+/// bit-identical to that case inside the full run; the fault test takes the
+/// index from `PICACHU_FAULT_REPLAY=<index>`.
+pub fn run_fault_sweep(cfg: &FaultSweepConfig, replay: Option<usize>) -> OracleReport {
     let mut report = OracleReport::default();
     let mut engine = PicachuEngine::new(EngineConfig {
         cgra_rows: cfg.geometry.0,

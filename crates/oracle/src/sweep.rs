@@ -121,13 +121,11 @@ impl SweepConfig {
     }
 }
 
-/// Runs the sweep. When `PICACHU_ORACLE_REPLAY=<index>` is set, only that
-/// case executes (same engines, same seeds — bit-identical to its run
-/// inside the full sweep).
-pub fn run_sweep(cfg: &SweepConfig) -> OracleReport {
-    let replay: Option<usize> = std::env::var("PICACHU_ORACLE_REPLAY")
-        .ok()
-        .and_then(|s| s.parse().ok());
+/// Runs the sweep. With `replay = Some(index)` only that case executes
+/// (same engines, same seeds — bit-identical to its run inside the full
+/// sweep); the differential test takes the index from
+/// `PICACHU_ORACLE_REPLAY=<index>`.
+pub fn run_sweep(cfg: &SweepConfig, replay: Option<usize>) -> OracleReport {
     let mut report = OracleReport::default();
     let mut index = 0usize;
 

@@ -8,8 +8,10 @@ use picachu_oracle::{run_sweep, SweepConfig};
 fn differential_oracle_is_green() {
     let smoke = std::env::var("PICACHU_ORACLE_SMOKE").is_ok();
     let cfg = if smoke { SweepConfig::smoke() } else { SweepConfig::full() };
+    let replay: Option<usize> =
+        std::env::var("PICACHU_ORACLE_REPLAY").ok().map(|c| c.parse().expect("not a case index"));
 
-    let report = run_sweep(&cfg);
+    let report = run_sweep(&cfg, replay);
     println!("{}", report.summary());
     for s in &report.numerics {
         println!("{}", s.to_json_line());
@@ -24,8 +26,7 @@ fn differential_oracle_is_green() {
         );
     }
 
-    let replaying = std::env::var("PICACHU_ORACLE_REPLAY").is_ok();
-    if replaying {
+    if replay.is_some() {
         assert_eq!(report.cases, 1, "replay runs exactly one case");
     } else if smoke {
         assert_eq!(report.cases, cfg.case_count());

@@ -9,8 +9,10 @@ use picachu_oracle::{run_fault_sweep, FaultSweepConfig};
 fn fault_oracle_is_green() {
     let smoke = std::env::var("PICACHU_FAULT_SMOKE").is_ok();
     let cfg = if smoke { FaultSweepConfig::smoke() } else { FaultSweepConfig::full() };
+    let replay: Option<usize> =
+        std::env::var("PICACHU_FAULT_REPLAY").ok().map(|c| c.parse().expect("not a case index"));
 
-    let report = run_fault_sweep(&cfg);
+    let report = run_fault_sweep(&cfg, replay);
     println!("{}", report.summary());
     if !report.is_green() {
         for d in &report.discrepancies {
@@ -22,8 +24,7 @@ fn fault_oracle_is_green() {
         );
     }
 
-    let replaying = std::env::var("PICACHU_FAULT_REPLAY").is_ok();
-    if replaying {
+    if replay.is_some() {
         assert_eq!(report.cases, 1, "replay runs exactly one case");
     } else {
         assert_eq!(report.cases, cfg.case_count());

@@ -20,7 +20,7 @@
 //! PICACHU shard runs every key's trace under the plan on its one engine
 //! ([`PicachuEngine::try_execute_trace_faulted`]), so a fault costs exactly
 //! what it slows down; a ladder rejection, ECC storm or DMA exhaustion
-//! takes the shard out of service, and the engine's ladder memo answers a
+//! takes the shard out of service, and the engine's compile memo answers a
 //! plan it has walked before. The analytical baselines have no compiler to
 //! consult, so under a plan each healthy entry scales by the alive
 //! fraction of a nominal 16-unit device. An empty plan restores the

@@ -24,10 +24,13 @@ smoke_thread_invariant() {
   rm -rf "$scratch"
 }
 
-echo "== statics ratchet (no process-global mutable state outside the allowlist) =="
+echo "== statics ratchet (no process-global mutable state or environment read outside the allowlist) =="
 # A compile cache, counter or store directory held in a `static` makes an
 # output depend on what else ran in the process; engines own such state.
-# The allowlist in the script names the few statics that may stay and why.
+# The environment is process-global input too: library code under
+# crates/*/src takes its inputs as arguments (bench binaries as flags).
+# The allowlists in the script name the few statics and environment
+# variables that may stay and why.
 python3 scripts/check_statics.py
 
 echo "== build (release, offline) =="
