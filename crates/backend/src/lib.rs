@@ -131,13 +131,6 @@ impl fmt::Display for ExecutionReport {
     }
 }
 
-/// Relative tolerance within which the backend-parity suite holds a *warm*
-/// [`Accelerator::estimate_trace`] to the measured
-/// `execute_trace(..).total()` of the same trace. Estimates are pure
-/// re-evaluations of the same cost models, so agreement is essentially
-/// exact; the epsilon only absorbs f64 summation-order noise.
-pub const HINT_WARM_TOLERANCE: f64 = 1e-9;
-
 /// A device that can execute full operator traces — the unified contract
 /// between the compilation/modeling layers and the experiment harness.
 ///
@@ -155,18 +148,14 @@ pub trait Accelerator {
     /// Executes a full operator trace, returning the per-phase report.
     fn execute_trace(&mut self, trace: &[TraceOp]) -> ExecutionReport;
 
-    /// Cheap, read-only estimate of `execute_trace(trace).total()` in the
-    /// backend's reporting unit (cycles at 1 GHz ≡ ns, wall-ns for the
-    /// GPU), without mutating backend state. Every device prices it with
-    /// its own cost model; there is no default.
-    ///
-    /// Contract (enforced for all six devices by `tests/backends.rs`):
-    /// once the backend's kernel caches are warm — after one
-    /// `execute_trace` over the same operations — the estimate agrees
-    /// with the measured total to within [`HINT_WARM_TOLERANCE`] relative
-    /// error. A cold estimate may be cruder (PICACHU has not mapped its
-    /// kernels yet) but must stay within a documented constant factor.
-    fn estimate_trace(&self, trace: &[TraceOp]) -> f64;
+    /// The total of running `trace`: `execute_trace(trace).total()`, in the
+    /// backend's reporting unit. A trace is priced only by running it; this
+    /// method stays only under the name the benchmark's serve-chaos replay
+    /// calls, and goes with the next change to the benchmark contract
+    /// (ROADMAP item 5).
+    fn estimate_trace(&mut self, trace: &[TraceOp]) -> f64 {
+        self.execute_trace(trace).total()
+    }
 
     /// Energy in nanojoules for a breakdown this backend produced.
     fn energy_nj(&self, b: &Breakdown) -> f64;
@@ -219,9 +208,6 @@ mod tests {
         }
         fn execute_trace(&mut self, trace: &[TraceOp]) -> ExecutionReport {
             self.report(Breakdown { gemm: trace.len() as f64, ..Breakdown::default() })
-        }
-        fn estimate_trace(&self, trace: &[TraceOp]) -> f64 {
-            trace.len() as f64
         }
         fn energy_nj(&self, b: &Breakdown) -> f64 {
             2.0 * b.total()

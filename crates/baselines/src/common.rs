@@ -12,7 +12,6 @@ pub use picachu_backend::Breakdown;
 use picachu_backend::{Accelerator, ExecutionReport};
 use picachu_cgra::cost::CostModel;
 use picachu_llm::trace::TraceOp;
-use picachu_llm::ModelConfig;
 use picachu_nonlinear::NonlinearOp;
 use picachu_systolic::SystolicArray;
 
@@ -53,16 +52,6 @@ pub fn execute_trace_with(
         }
     }
     b
-}
-
-/// Convenience: evaluate a model end to end at a sequence length.
-pub fn evaluate_model(
-    exec: &dyn NonlinearExecutor,
-    systolic: &SystolicArray,
-    cfg: &ModelConfig,
-    seq: usize,
-) -> Breakdown {
-    execute_trace_with(exec, systolic, &picachu_llm::model_trace(cfg, seq))
 }
 
 /// Silicon cost of a baseline's nonlinear unit, beyond the shared
@@ -113,12 +102,6 @@ impl<M: NonlinearExecutor> Accelerator for Hosted<M> {
         self.report(execute_trace_with(&self.model, &self.systolic, trace))
     }
 
-    /// Exact: the hosted cost models are pure functions of the trace, so
-    /// the capacity hint is the measurement itself, re-evaluated read-only.
-    fn estimate_trace(&self, trace: &[TraceOp]) -> f64 {
-        execute_trace_with(&self.model, &self.systolic, trace).total()
-    }
-
     /// Same power-×-time shape as the PICACHU accountant: systolic + SRAM
     /// power over GEMM time, the nonlinear unit + a 30% SRAM share over
     /// nonlinear time, DMA/glue + a 20% SRAM share over exposed data
@@ -166,13 +149,10 @@ mod tests {
 
     #[test]
     fn hosted_matches_legacy_evaluator_bit_for_bit() {
-        // The Accelerator adapter must be pure plumbing: the breakdown it
-        // reports is exactly what the historical `evaluate_model` computed.
-        let cfg = ModelConfig::gpt2();
-        let legacy = evaluate_model(&CpuModel::default(), &SystolicArray::new(32, 32), &cfg, 128);
+        // the Accelerator adapter stamps its model's name and prices energy
+        // and area
         let mut hosted = CpuModel::hosted();
-        let r = hosted.execute_model(&cfg, 128);
-        assert_eq!(r.breakdown, legacy);
+        let r = hosted.execute_model(&picachu_llm::ModelConfig::gpt2(), 128);
         assert_eq!(r.backend, "CPU");
         assert!(r.energy_nj > 0.0 && hosted.area_mm2() > 0.0);
     }

@@ -72,9 +72,8 @@ impl NonlinearExecutor for CpuModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::evaluate_model;
+    use picachu_backend::Accelerator;
     use picachu_llm::ModelConfig;
-    use picachu_systolic::SystolicArray;
 
     #[test]
     fn exp_ops_cost_more_than_relu() {
@@ -96,9 +95,7 @@ mod tests {
     fn nonlinear_dominates_cpu_time_at_long_seq() {
         // the Fig. 1/8a premise: with GEMMs accelerated, CPU-side nonlinear
         // work is a comparable or larger share of the runtime.
-        let cpu = CpuModel::default();
-        let sys = SystolicArray::new(32, 32);
-        let b = evaluate_model(&cpu, &sys, &ModelConfig::llama2_7b(), 1024);
+        let b = CpuModel::hosted().execute_model(&ModelConfig::llama2_7b(), 1024).breakdown;
         let nl_share = (b.nonlinear + b.data_movement) / b.total();
         assert!(nl_share > 0.4, "share {nl_share}");
     }

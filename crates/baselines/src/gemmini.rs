@@ -96,10 +96,9 @@ impl NonlinearExecutor for GemminiModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::evaluate_model;
     use crate::cpu::CpuModel;
+    use picachu_backend::Accelerator;
     use picachu_llm::ModelConfig;
-    use picachu_systolic::SystolicArray;
 
     #[test]
     fn dedicated_unit_coverage_matches_paper() {
@@ -121,16 +120,14 @@ mod tests {
     #[test]
     fn gemmini_beats_cpu_on_opt_but_not_llama() {
         // the Fig. 8a pattern
-        let sys = SystolicArray::new(32, 32);
-        let gem = GemminiModel::default();
-        let cpu = CpuModel::default();
+        let (mut gem, mut cpu) = (GemminiModel::hosted(), CpuModel::hosted());
         let opt = ModelConfig::opt_6_7b();
         let llama = ModelConfig::llama2_13b();
-        let gem_opt = evaluate_model(&gem, &sys, &opt, 1024).total();
-        let cpu_opt = evaluate_model(&cpu, &sys, &opt, 1024).total();
+        let gem_opt = gem.execute_model(&opt, 1024).total();
+        let cpu_opt = cpu.execute_model(&opt, 1024).total();
         assert!(gem_opt < cpu_opt, "Gemmini should win on OPT");
-        let gem_llama = evaluate_model(&gem, &sys, &llama, 1024).total();
-        let cpu_llama = evaluate_model(&cpu, &sys, &llama, 1024).total();
+        let gem_llama = gem.execute_model(&llama, 1024).total();
+        let cpu_llama = cpu.execute_model(&llama, 1024).total();
         assert!(gem_llama > cpu_llama, "Gemmini should lose on LLaMA2");
     }
 }

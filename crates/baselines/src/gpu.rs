@@ -128,14 +128,6 @@ impl Accelerator for GpuModel {
         })
     }
 
-    /// Exact: re-evaluates the pure roofline. Converted per phase (`g·1e9 +
-    /// n·1e9`, not `(g+n)·1e9`) so the hint matches the reported breakdown's
-    /// total to the last bit, not merely to rounding.
-    fn estimate_trace(&self, trace: &[TraceOp]) -> f64 {
-        let (g, n) = GpuModel::execute_trace(self, trace);
-        g * 1e9 + n * 1e9
-    }
-
     fn energy_nj(&self, b: &Breakdown) -> f64 {
         // breakdown is in ns; energy_j takes seconds and returns joules
         self.energy_j(b.gemm * 1e-9, (b.nonlinear + b.data_movement + b.overhead) * 1e-9) * 1e9

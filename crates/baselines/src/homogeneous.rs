@@ -103,10 +103,8 @@ impl NonlinearExecutor for HomogeneousCgraModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::evaluate_model;
     use picachu_backend::Accelerator;
     use picachu_llm::ModelConfig;
-    use picachu_systolic::SystolicArray;
 
     #[test]
     fn every_trace_op_has_a_compiled_kernel() {
@@ -124,10 +122,9 @@ mod tests {
         // The homogeneous baseline must lose to Tandem-class vector
         // execution (the Fig. 7a premise scaled end-to-end): its scalar
         // IIs cost multiple cycles per element.
-        let sys = SystolicArray::new(32, 32);
         let cfg = ModelConfig::gpt2();
-        let base = evaluate_model(&HomogeneousCgraModel::default(), &sys, &cfg, 256);
-        let tan = evaluate_model(&crate::TandemModel::default(), &sys, &cfg, 256);
+        let base = HomogeneousCgraModel::hosted().execute_model(&cfg, 256);
+        let tan = crate::TandemModel::hosted().execute_model(&cfg, 256);
         assert!(base.total() > tan.total(), "{} vs {}", base.total(), tan.total());
     }
 

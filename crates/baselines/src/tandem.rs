@@ -83,11 +83,10 @@ impl NonlinearExecutor for TandemModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::evaluate_model;
     use crate::cpu::CpuModel;
     use crate::gemmini::GemminiModel;
+    use picachu_backend::Accelerator;
     use picachu_llm::ModelConfig;
-    use picachu_systolic::SystolicArray;
 
     #[test]
     fn tandem_covers_all_ops_at_vector_rate() {
@@ -102,11 +101,10 @@ mod tests {
 
     #[test]
     fn tandem_beats_cpu_and_gemmini_on_llama() {
-        let sys = SystolicArray::new(32, 32);
         let cfg = ModelConfig::llama2_7b();
-        let t = evaluate_model(&TandemModel::default(), &sys, &cfg, 1024).total();
-        let c = evaluate_model(&CpuModel::default(), &sys, &cfg, 1024).total();
-        let g = evaluate_model(&GemminiModel::default(), &sys, &cfg, 1024).total();
+        let t = TandemModel::hosted().execute_model(&cfg, 1024).total();
+        let c = CpuModel::hosted().execute_model(&cfg, 1024).total();
+        let g = GemminiModel::hosted().execute_model(&cfg, 1024).total();
         assert!(t < c && t < g, "tandem {t} vs cpu {c} gemmini {g}");
     }
 

@@ -13,8 +13,8 @@
 //!
 //! The cache is a memo and nothing more: compilation is deterministic in the
 //! key, so a hit returns bit-identical loops to a fresh compile, and no
-//! output — a mapping, a degradation-ladder rung, an II inflation or a cost
-//! estimate — depends on whether a key is present.
+//! output — a mapping, a degradation-ladder rung, an II inflation or a
+//! trace's cost — depends on whether a key is present.
 
 use crate::engine::CompiledLoop;
 use picachu_nonlinear::NonlinearOp;

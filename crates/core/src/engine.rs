@@ -113,15 +113,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// Cycles per nonlinear element the cold capacity hint charges when the
-/// engine has not compiled a kernel itself (see
-/// [`Accelerator::estimate_trace`] on the engine). Exposed nonlinear cost
-/// on the healthy 4×4 fabric lands between ~0.5 (vectorized element-wise,
-/// mostly overlapped) and ~4 (multi-loop reductions) cycles/element across
-/// the paper kernels, so 2 keeps the cold estimate within the parity
-/// suite's constant-factor envelope.
-pub const COLD_NONLINEAR_CYCLES_PER_ELEMENT: f64 = 2.0;
-
 /// The engine: the staged compile → dispatch → account pipeline behind one
 /// object, plus the fault-path orchestration that spans the stages.
 #[derive(Debug)]
@@ -312,10 +303,10 @@ impl PicachuEngine {
     /// flat batch ([`CompileService::warm`]), take the degradation ladder
     /// ([`PicachuEngine::compile_op_degraded`]; on an intact fabric, a memo
     /// hit on the healthy entry the warm recorded) and the dispatcher walks
-    /// the trace against them. The plan's SRAM/DMA fault service
-    /// ([`Dispatcher::fault_overhead`]) lands in the `overhead` phase, so the
-    /// other terms keep their healthy accounting. Deterministic in
-    /// `(self.config, trace, plan)`.
+    /// the trace against them, pricing the plan's SRAM/DMA fault service as
+    /// it goes ([`Dispatcher::execute_trace`]). That service lands in the
+    /// `overhead` phase, so the other terms keep their healthy accounting.
+    /// Deterministic in `(self.config, trace, plan)`.
     ///
     /// # Errors
     /// [`PicachuError::Compile`] when an op survives no rung of the ladder
@@ -341,10 +332,9 @@ impl PicachuEngine {
         for op in ops {
             loops.insert(op, self.compile.compile_op_degraded(&self.config, op, plan)?.loops);
         }
-        let mut totals =
-            self.dispatch.execute_trace(&self.config, trace, &mut |op| loops[&op].as_slice());
-        let overhead = self.dispatch.fault_overhead(&self.config, trace, plan)?;
-        totals.overhead = totals.overhead.saturating_add(overhead);
+        let totals = self.dispatch.execute_trace(&self.config, trace, plan, &mut |op| {
+            loops[&op].as_slice()
+        })?;
         Ok(totals.breakdown())
     }
 
@@ -411,39 +401,6 @@ impl Accelerator for PicachuEngine {
     fn execute_trace(&mut self, trace: &[TraceOp]) -> ExecutionReport {
         let b = PicachuEngine::execute_trace(self, trace);
         self.report(b)
-    }
-
-    /// The capacity hint. **Warm** (this engine's compile memo holds a
-    /// healthy entry with loops for every distinct nonlinear op of the
-    /// trace; what engines sharing its compile cache put there does not
-    /// count): runs the real dispatcher read-only against those mappings, so
-    /// the estimate *is* the measurement, bit for bit. **Cold**: GEMM cycles
-    /// are still exact (the systolic model is stateless); nonlinear work
-    /// is priced at [`COLD_NONLINEAR_CYCLES_PER_ELEMENT`] without mapping
-    /// anything — crude, and the parity suite bounds the error to a small
-    /// constant factor. Nothing on the serving path reads this hint: a
-    /// shard prices its table by running traces.
-    fn estimate_trace(&self, trace: &[TraceOp]) -> f64 {
-        let warm = trace.iter().all(|t| match *t {
-            TraceOp::Nonlinear { op, .. } => !self.compile.loops(op).is_empty(),
-            TraceOp::Gemm { .. } => true,
-        });
-        if warm {
-            let totals =
-                self.dispatch.execute_trace(&self.config, trace, &mut |op| self.compile.loops(op));
-            return totals.breakdown().total();
-        }
-        trace
-            .iter()
-            .map(|t| match *t {
-                TraceOp::Gemm { m, k, n, count } => {
-                    (self.dispatch.systolic().gemm_cycles(m, k, n) * count as u64) as f64
-                }
-                TraceOp::Nonlinear { .. } => {
-                    t.elements() as f64 * COLD_NONLINEAR_CYCLES_PER_ELEMENT
-                }
-            })
-            .sum()
     }
 
     fn energy_nj(&self, b: &Breakdown) -> f64 {
@@ -543,14 +500,7 @@ mod tests {
         let mut e = engine();
         let cfg = ModelConfig::llama2_13b();
         let ours = e.execute_model(&cfg, 256).total();
-        let sys = SystolicArray::new(32, 32);
-        let gem = picachu_baselines::common::evaluate_model(
-            &picachu_baselines::GemminiModel::default(),
-            &sys,
-            &cfg,
-            256,
-        )
-        .total();
+        let gem = picachu_baselines::GemminiModel::hosted().execute_model(&cfg, 256).total();
         assert!(ours < gem, "PICACHU {ours} should beat Gemmini {gem} on LLaMA2");
     }
 

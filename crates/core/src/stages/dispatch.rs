@@ -3,9 +3,12 @@
 //! Walks an operator trace and applies the §4.2.4 dataflow cases:
 //! element-wise ops stream against the producing GEMM (Case 1), reductions
 //! round-trip DRAM channel-by-channel under double buffering (Case 2) or
-//! stay buffer-resident when they fit (Case 3). Compilation is injected as
-//! a closure, so the same walk serves the engine's run under a fault plan
-//! (healthy is the empty plan) and its read-only warm estimate unchanged.
+//! stay buffer-resident when they fit (Case 3). The same walk prices the
+//! fault plan's service (healthy is the empty plan): SEC-DED re-fetches
+//! before the first op, then the DMA stall retries of each Case-2 op's
+//! transfers as the walk passes it, with the chunk geometry the op's round
+//! trips are priced at. Compilation is injected as a closure: the engine
+//! hands in the loops its degradation ladder chose.
 //!
 //! Accounting is exact: cycles accumulate in the integer [`PhaseTotals`]
 //! (saturating, like every cycle computation upstream) and convert to the
@@ -94,17 +97,62 @@ impl Dispatcher {
         &self.systolic
     }
 
-    /// Executes a trace with the §4.2.4 dataflow cases, returning exact
-    /// per-phase cycle totals. `compile` supplies the loops for each
-    /// nonlinear op (the ladder's answer under a plan, or the healthy view
-    /// of a warm estimate — the walk does not care).
+    /// Executes a trace under `plan` with the §4.2.4 dataflow cases,
+    /// returning exact per-phase cycle totals. `compile` supplies the loops
+    /// for each nonlinear op.
+    ///
+    /// The plan's fault service lands in [`PhaseTotals::overhead`] only, so
+    /// the other phases keep their healthy accounting. The SRAM flips are
+    /// SEC-DED outcomes over the Shared Buffer, classified before any
+    /// transfer: each detected-uncorrectable word re-fetches a 64-byte line
+    /// from DRAM, up to [`ECC_MAX_DETECTED`]. Transient DMA stalls then pay
+    /// the bounded retry ladder on the re-fetches and on every Case-2 fill
+    /// and drain, numbered in that order. The transfers themselves are
+    /// already priced in the healthy phases, so a Case-2 transfer adds only
+    /// its stall and backoff cycles. A plan that flips no SRAM bit and
+    /// stalls no transfer adds nothing. Deterministic in
+    /// `(config, trace, plan)` and the loops.
+    ///
+    /// # Errors
+    /// [`PicachuError::EccStorm`] past the re-fetch budget, or
+    /// [`PicachuError::Dma`] when a transfer exhausts its retries.
     pub fn execute_trace<'a>(
         &self,
         config: &EngineConfig,
         trace: &[TraceOp],
+        plan: &FaultPlan,
         compile: &mut dyn FnMut(NonlinearOp) -> &'a [CompiledLoop],
-    ) -> PhaseTotals {
+    ) -> Result<PhaseTotals, PicachuError> {
         let mut t = PhaseTotals::default();
+        let mut xfer: u64 = 0; // DMA transfers, numbered in service order
+        if !plan.sram_flips.is_empty() {
+            let words = (config.buffer_kb * 1024 / 8) as u64;
+            let ecc = plan.ecc.classify_sram(&plan.sram_flips, words);
+            if ecc.detected > ECC_MAX_DETECTED {
+                return Err(PicachuError::EccStorm {
+                    detected: ecc.detected,
+                    limit: ECC_MAX_DETECTED,
+                });
+            }
+            t.overhead = ecc.overhead_cycles;
+            for _ in 0..ecc.detected {
+                let refetch = self.dma.transfer_cycles_faulted(64, xfer, &plan.dma)?;
+                t.overhead = t.overhead.saturating_add(refetch.cycles);
+                xfer += 1;
+            }
+        }
+        // stall and backoff cycles of `transfers` Case-2 transfers of `bytes`
+        let mut stalls = |transfers: u64, bytes: usize| -> Result<u64, PicachuError> {
+            let mut cycles: u64 = 0;
+            if !plan.dma.is_none() {
+                for _ in 0..transfers {
+                    let x = self.dma.transfer_cycles_faulted(bytes, xfer, &plan.dma)?;
+                    cycles = cycles.saturating_add(x.overhead_cycles);
+                    xfer += 1;
+                }
+            }
+            Ok(cycles)
+        };
         let mut pending_gemm: u64 = 0; // cycles of the producing GEMM
         let elem_bytes = config.format.byte_width();
         for op in trace {
@@ -160,13 +208,17 @@ impl Dispatcher {
                                     t.nonlinear =
                                         t.nonlinear.saturating_add(exposed_first + rest);
                                 } else {
-                                    // Case 2 on the remaining loops.
+                                    // Case 2 on the remaining loops: one
+                                    // fill and one drain per row.
                                     let total = self.buffer.pipelined_cycles(
                                         rows as u64,
                                         channel_bytes,
                                         ((rest as f64) / rows as f64).ceil() as u64,
                                         &self.dma,
                                     );
+                                    t.overhead = t
+                                        .overhead
+                                        .saturating_add(stalls(2 * rows as u64, channel_bytes)?);
                                     t.nonlinear =
                                         t.nonlinear.saturating_add(exposed_first + rest);
                                     t.data_movement = t
@@ -185,7 +237,8 @@ impl Dispatcher {
                                 // Case 2: channel exceeds the working set —
                                 // chunked two-pass execution (statistics,
                                 // then apply), each chunk a DMA round trip
-                                // under double buffering.
+                                // (one fill, one drain) under double
+                                // buffering.
                                 let working = self.buffer.working_bytes().max(1);
                                 let chunks =
                                     rows as u64 * (channel_bytes.div_ceil(working)) as u64;
@@ -201,96 +254,15 @@ impl Dispatcher {
                                 t.data_movement = t
                                     .data_movement
                                     .saturating_add(total.saturating_sub(2 * compute));
+                                t.overhead =
+                                    t.overhead.saturating_add(stalls(2 * chunks, working)?);
                             }
                         }
                     }
                 }
             }
         }
-        t
-    }
-
-    /// The fault-service overhead of executing `trace` under `plan`: the
-    /// plan's SRAM flips are evaluated as SEC-DED outcomes over the Shared
-    /// Buffer (detected-uncorrectable words re-fetch a 64-byte line from
-    /// DRAM, up to [`ECC_MAX_DETECTED`]), and transient DMA stalls on the
-    /// bulk Case-2 traffic pay the bounded retry ladder. The healthy
-    /// breakdown already prices the transfers themselves, so only the
-    /// stall/backoff/re-fetch cycles are returned — they land in
-    /// [`PhaseTotals::overhead`]. Deterministic in `(config, trace, plan)`;
-    /// zero, without walking the trace, when the plan flips no SRAM bit and
-    /// stalls no transfer.
-    ///
-    /// # Errors
-    /// [`PicachuError::EccStorm`] past the re-fetch budget, or
-    /// [`PicachuError::Dma`] when a transfer exhausts its retries.
-    pub fn fault_overhead(
-        &self,
-        config: &EngineConfig,
-        trace: &[TraceOp],
-        plan: &FaultPlan,
-    ) -> Result<u64, PicachuError> {
-        if plan.sram_flips.is_empty() && plan.dma.is_none() {
-            return Ok(0);
-        }
-        // ECC over the Shared Buffer working set
-        let words = (config.buffer_kb * 1024 / 8) as u64;
-        let ecc = plan.ecc.classify_sram(&plan.sram_flips, words);
-        if ecc.detected > ECC_MAX_DETECTED {
-            return Err(PicachuError::EccStorm {
-                detected: ecc.detected,
-                limit: ECC_MAX_DETECTED,
-            });
-        }
-        let mut overhead = ecc.overhead_cycles;
-        let mut xfer: u64 = 0;
-        for _ in 0..ecc.detected {
-            // a detected-uncorrectable word re-fetches one 64-byte DRAM line,
-            // itself subject to the transient-stall ladder
-            let t = self.dma.transfer_cycles_faulted(64, xfer, &plan.dma)?;
-            overhead += t.cycles;
-            xfer += 1;
-        }
-        // transient stalls on the bulk Case-2 DMA traffic: these transfers
-        // are already paid for in the healthy breakdown, so only the stall +
-        // backoff overhead is added
-        for (transfers, bytes) in self.case2_transfers(config, trace) {
-            for _ in 0..transfers {
-                let t = self.dma.transfer_cycles_faulted(bytes, xfer, &plan.dma)?;
-                overhead += t.overhead_cycles;
-                xfer += 1;
-            }
-        }
-        Ok(overhead)
-    }
-
-    /// The Case-2 DMA transfer schedule of a trace: `(transfers, bytes)` per
-    /// chunked reduction op, mirroring the chunk geometry `execute_trace`
-    /// hands to [`SharedBuffer::pipelined_cycles`] (each chunk is one fill
-    /// plus one drain). Pure geometry — compute never changes the transfer
-    /// count.
-    pub fn case2_transfers(&self, config: &EngineConfig, trace: &[TraceOp]) -> Vec<(u64, usize)> {
-        let elem_bytes = config.format.byte_width();
-        let mut out = Vec::new();
-        for t in trace {
-            let TraceOp::Nonlinear { op, rows, channel } = *t else {
-                continue;
-            };
-            if op.category() != OpCategory::ReductionElementWise
-                || self.buffer.channel_fits(channel, elem_bytes)
-            {
-                continue;
-            }
-            let channel_bytes = channel * elem_bytes;
-            if op == NonlinearOp::Softmax {
-                out.push((2 * rows as u64, channel_bytes));
-            } else {
-                let working = self.buffer.working_bytes().max(1);
-                let chunks = rows as u64 * (channel_bytes.div_ceil(working)) as u64;
-                out.push((2 * chunks, working));
-            }
-        }
-        out
+        Ok(t)
     }
 }
 
@@ -312,8 +284,11 @@ mod tests {
     fn empty_trace_is_all_zero() {
         let config = EngineConfig::default();
         let d = Dispatcher::new(&config);
-        let t = d.execute_trace(&config, &[], &mut |_| unreachable!("no nonlinear ops"));
+        let t = d
+            .execute_trace(&config, &[], &FaultPlan::none(), &mut |_| {
+                unreachable!("no nonlinear ops")
+            })
+            .expect("an empty plan cannot fail");
         assert_eq!(t, PhaseTotals::default());
-        assert!(d.case2_transfers(&config, &[]).is_empty());
     }
 }

@@ -8,8 +8,9 @@
 //!    ladder. Output: [`CompiledLoop`]s per operation.
 //! 2. [`dispatch`] — [`Dispatcher`]: walks an operator trace, applies the
 //!    §4.2.4 dataflow cases (streaming overlap, channel-wise double
-//!    buffering, buffer residency) and the fault-overhead accounting.
-//!    Output: exact integer [`PhaseTotals`] per phase.
+//!    buffering, buffer residency) and, in the same walk, prices the fault
+//!    plan's ECC re-fetches and DMA stalls. Output: exact integer
+//!    [`PhaseTotals`] per phase.
 //! 3. [`account`] — [`Accountant`]: rolls phase totals into energy (nJ) and
 //!    silicon area (mm²) under the Table 7 cost model.
 //!

@@ -8,7 +8,6 @@
 
 use picachu::engine::{EngineConfig, PicachuEngine};
 use picachu::{Accelerator, CompileCache, ExecutionReport};
-use picachu_backend::HINT_WARM_TOLERANCE;
 use picachu_baselines::{CpuModel, GemminiModel, GpuModel, HomogeneousCgraModel, TandemModel};
 use picachu_llm::trace::TraceOp;
 use picachu_llm::ModelConfig;
@@ -120,69 +119,37 @@ fn picachu_trait_path_preserves_oracle_identities() {
 }
 
 #[test]
-fn cost_hints_are_exact_when_warm_and_bounded_when_cold() {
-    // the PR-6 placement contract: `estimate_trace` must agree with the
-    // measured `execute_trace(..).total()` to HINT_WARM_TOLERANCE once a
-    // backend is warm, and land within a small constant factor cold —
-    // otherwise the serving placer schedules against fiction
+fn a_trace_is_priced_by_running_it() {
+    // `estimate_trace` is the run itself: on a fresh instance of every
+    // backend it equals a fresh instance's `execute_trace(..).total()`
+    // bit for bit, cold compiles included
     for (workload, trace) in [("prefill", prefill()), ("decode", decode())] {
-        for mut b in all_backends() {
-            let name = b.name().to_string();
-            let cold = b.estimate_trace(&trace);
-            let measured = b.execute_trace(&trace).total();
-            assert!(
-                cold.is_finite() && cold > 0.0,
-                "{name} on {workload}: cold hint not positive-finite: {cold}"
+        for (mut estimated, mut run) in all_backends().into_iter().zip(all_backends()) {
+            let estimate = estimated.estimate_trace(&trace);
+            let total = run.execute_trace(&trace).total();
+            assert_eq!(
+                estimate.to_bits(),
+                total.to_bits(),
+                "{} on {workload}: estimate {estimate} vs run {total}",
+                run.name()
             );
-            let ratio = cold / measured;
-            assert!(
-                (0.125..=8.0).contains(&ratio),
-                "{name} on {workload}: cold hint off by {ratio:.3}×"
-            );
-            // warm: after one real execution the hint must be exact
-            let warm = b.estimate_trace(&trace);
-            let rel = (warm - measured).abs() / measured;
-            assert!(
-                rel <= HINT_WARM_TOLERANCE,
-                "{name} on {workload}: warm hint rel error {rel:e} > {HINT_WARM_TOLERANCE:e}"
-            );
-            // estimation is read-only: re-measuring is bit-identical
-            let again = b.execute_trace(&trace).total();
-            assert_eq!(again.to_bits(), measured.to_bits(), "{name}: estimate perturbed state");
         }
     }
 }
 
 #[test]
-fn picachu_cold_hint_does_not_touch_the_compile_cache() {
-    // estimating a trace on a cold engine must price it via
-    // COLD_NONLINEAR_CYCLES_PER_ELEMENT without publishing mappings (or
-    // even looking them up) as a side effect
-    let cfg = EngineConfig { cgra_rows: 5, cgra_cols: 3, ..EngineConfig::default() };
-    let e = PicachuEngine::new(cfg.clone());
-    let trace = prefill();
-    let cold = e.estimate_trace(&trace);
-    assert!(cold > 0.0 && cold.is_finite());
-    assert_eq!(e.compile_cache().stats(), (0, 0), "estimating compiled or looked up");
-    // still cold after estimating: a second estimate is bit-identical and
-    // a fresh engine with the same config sees the same cold number
-    assert_eq!(e.estimate_trace(&trace).to_bits(), cold.to_bits());
-    assert_eq!(PicachuEngine::new(cfg).estimate_trace(&trace).to_bits(), cold.to_bits());
-}
-
-#[test]
 fn picachu_hint_ignores_other_engines_compiles() {
-    // the fresh engine's hint must not change when a *different* engine
-    // with the same config compiles the trace's kernels into the compile
-    // cache both share
+    // what a *different* engine with the same config compiled into the
+    // compile cache both share does not change a fresh engine's estimate:
+    // it equals the run of an engine with a private cache
     let cfg = EngineConfig { seed: 0xE571_0001, ..EngineConfig::default() };
     let trace = prefill();
     let cache = Arc::new(CompileCache::new());
-    let fresh = PicachuEngine::with_cache(cfg.clone(), cache.clone());
-    let before = fresh.estimate_trace(&trace);
-    PicachuEngine::with_cache(cfg, cache.clone()).execute_trace(&trace);
+    PicachuEngine::with_cache(cfg.clone(), cache.clone()).execute_trace(&trace);
     assert!(cache.stats().1 > 0, "the other engine compiled into the shared cache");
-    assert_eq!(fresh.estimate_trace(&trace).to_bits(), before.to_bits());
+    let shared = PicachuEngine::with_cache(cfg.clone(), cache).estimate_trace(&trace);
+    let private = PicachuEngine::new(cfg).execute_trace(&trace).total();
+    assert_eq!(shared.to_bits(), private.to_bits());
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! orderings the paper's evaluation depends on.
 
 use picachu::engine::{EngineConfig, PicachuEngine};
-use picachu_baselines::common::evaluate_model;
+use picachu::Accelerator;
 use picachu_baselines::{CpuModel, GemminiModel, GpuModel, TandemModel};
 use picachu_cgra::{CgraConfig, CgraSimulator};
 use picachu_compiler::arch::CgraSpec;
@@ -13,7 +13,6 @@ use picachu_compiler::transform::fuse_patterns;
 use picachu_ir::kernels::kernel_library;
 use picachu_llm::ModelConfig;
 use picachu_num::DataFormat;
-use picachu_systolic::SystolicArray;
 
 /// Front end → offload plan → engine execution: the §4.3 flow end to end.
 #[test]
@@ -74,19 +73,18 @@ fn all_kernels_on_all_fabrics() {
 /// the LLaMA models while staying within range on GPT/OPT.
 #[test]
 fn end_to_end_orderings() {
-    let sys = SystolicArray::new(32, 32);
     let mut engine = PicachuEngine::new(EngineConfig {
         format: DataFormat::Int16,
         ..EngineConfig::default()
     });
     for cfg in ModelConfig::evaluation_set() {
         let pic = engine.execute_model(&cfg, 512).total();
-        let cpu = evaluate_model(&CpuModel::default(), &sys, &cfg, 512).total();
+        let cpu = CpuModel::hosted().execute_model(&cfg, 512).total();
         assert!(pic < cpu, "{}: PICACHU {pic} !< CPU {cpu}", cfg.name);
     }
     for cfg in [ModelConfig::llama2_7b(), ModelConfig::llama2_13b()] {
         let pic = engine.execute_model(&cfg, 512).total();
-        let gem = evaluate_model(&GemminiModel::default(), &sys, &cfg, 512).total();
+        let gem = GemminiModel::hosted().execute_model(&cfg, 512).total();
         assert!(pic < gem, "{}: PICACHU {pic} !< Gemmini {gem}", cfg.name);
     }
 }
@@ -94,14 +92,13 @@ fn end_to_end_orderings() {
 /// Fig. 8b ordering at the trace level: PICACHU ≥ Tandem on nonlinear work.
 #[test]
 fn picachu_at_least_matches_tandem() {
-    let sys = SystolicArray::new(32, 32);
     let mut engine = PicachuEngine::new(EngineConfig {
         format: DataFormat::Int16,
         ..EngineConfig::default()
     });
     for cfg in [ModelConfig::bert_base(), ModelConfig::gpt2()] {
         let pic = engine.execute_model(&cfg, 1024).total();
-        let tan = evaluate_model(&TandemModel::default(), &sys, &cfg, 1024).total();
+        let tan = TandemModel::hosted().execute_model(&cfg, 1024).total();
         assert!(pic <= tan, "{}: PICACHU {pic} !<= Tandem {tan}", cfg.name);
     }
 }
